@@ -1,5 +1,4 @@
-//! Epoch-pinned state publication: the snapshot cell behind the lock-free
-//! read path.
+//! Epoch-pinned state publication: the snapshot cell behind the read path.
 //!
 //! An [`EpochCell`] holds the current `Arc` of an immutable state value and
 //! hands read paths a *pinned* clone of it: once [`EpochCell::load`]

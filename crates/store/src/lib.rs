@@ -1,13 +1,9 @@
-//! # shift-store: a sharded, updatable serving layer with a lock-free
-//! read path
+//! # shift-store: a sharded, updatable serving layer over immutable state
 //!
 //! The `shift-table` crate builds *static* corrected range indexes — one
 //! sorted key column, one learned model, one correction layer. This crate
 //! turns those into a concurrent serving system:
 //!
-//! * [`ShardedIndex`] — a read-only index range-partitioned across `N`
-//!   shards behind a fence-key router; batched lookups are grouped by shard
-//!   so each shard's pipelined batch kernel is preserved.
 //! * [`StoreShard`] — the updatable building block: an epoch-stamped
 //!   [`ShardSnapshot`] (sorted base + learned index) paired with an
 //!   immutable [`DeltaChain`] of buffered writes, published together as one
@@ -15,10 +11,13 @@
 //! * [`ShardedStore`] — the full store: an atomically republished
 //!   [`StoreTable`] (router + shards), write paths that transparently
 //!   re-route around splits/merges, and an optional background
-//!   [`MaintenanceWorker`].
+//!   [`MaintenanceWorker`]. Batched lookups are grouped by shard so each
+//!   shard's pipelined batch kernel is preserved.
 //!
-//! Both sharded types implement [`algo_index::RangeIndex`], so a store drops
-//! into every harness that benchmarks the static indexes.
+//! The store and its [`StoreSnapshot`]s implement
+//! [`algo_index::RangeIndex`], so a store — or, for a read-only workload, a
+//! store that is never written — drops into every harness that benchmarks
+//! the static indexes.
 //!
 //! ## Kernel-backed read path
 //!
@@ -42,14 +41,20 @@
 //!
 //! * A shard's state — base snapshot *and* delta chain — is one immutable
 //!   [`ShardState`] behind an [`EpochCell`]. A scalar or batched read pins
-//!   the state once (a single `Arc` acquisition) and then runs **pure
-//!   merges**: probe the learned index, add the chain's prefix sums. No
-//!   mutex or `RwLock` is held after that acquisition — in particular, no
-//!   lock is held while probing the index — and a read that finds an empty
-//!   chain skips the merge machinery entirely.
+//!   the state once and then runs **pure merges**: probe the learned index,
+//!   add the chain's prefix sums. A read that finds an empty chain skips
+//!   the merge machinery entirely.
+//! * Pinning is short, but it is not lock-free. Each `Arc` load out of an
+//!   [`EpochCell`] takes that cell's `RwLock` read guard for the length of
+//!   one reference-count bump. A one-shot store read (`store.lower_bound(q)`
+//!   and friends) first locks the store's pin-cache `Mutex`; on a cache hit
+//!   (no write since the last pin) that is its only lock. On a miss it
+//!   re-pins the table and every shard, one read guard per load, and locks
+//!   the pin cache again to refresh it. No lock is held after acquisition —
+//!   in particular, none while probing the index.
 //! * The delta chain is a short, newest-first list of immutable sorted
 //!   runs ([`DeltaRun`]). A write publishes a successor chain that amends
-//!   the small head run by copy (bounded by `max_run_len`) or prepends a
+//!   the small head run by copy (bounded by a fixed run length) or prepends a
 //!   singleton; all other runs are shared by `Arc`. Writers are serialised
 //!   by a per-shard mutex that readers never take.
 //! * The store's topology — fences plus shard list — is one immutable
@@ -203,8 +208,7 @@
 //!   independently and a cold start can serve `lower_bound` straight off
 //!   the index before decoding anything. The trained model is *not*
 //!   persisted — recovery retrains it from the keys and the spec string,
-//!   which round-trips losslessly through its display form. PR-4-era v1
-//!   files are still read (the loader dispatches on the leading magic).
+//!   which round-trips losslessly through its display form.
 //! * **A manifest** (`manifest-<seq>`): the checkpoint root — spec string,
 //!   fence table, snapshot files, checkpoint version — written to a temp
 //!   file and atomically renamed, so no crash can expose a torn root.
@@ -316,8 +320,8 @@
 //!   silently serve wrong answers. `debug_assert!` is always allowed.
 //! * **`unsafe-hygiene`** — every crate root carries
 //!   `#![forbid(unsafe_code)]`; any future `unsafe` block must carry a
-//!   `// SAFETY:` comment. This crate's lock-free read path is built
-//!   entirely from safe `Arc` swaps — the linter keeps it that way.
+//!   `// SAFETY:` comment. This crate's read path is built entirely from
+//!   safe `Arc` swaps behind `RwLock`s — the linter keeps it that way.
 //! * **`guard-across-sync`** — no lock guard may be live across an
 //!   `fsync`-class call (`sync_all`/`sync_data`/WAL `sync`) unless the site
 //!   is annotated `// lint: allow(guard-across-sync) <why>`. The three
@@ -388,13 +392,13 @@ pub use batch::{BatchOp, BatchReceipt, WriteBatch};
 pub use config::{DurabilityConfig, RetainPolicy, StoreConfig, SyncPolicy};
 pub use delta::{DeltaChain, DeltaRun};
 pub use epoch::{CommitClock, EpochCell};
-pub use error::{RetiredShard, StoreError};
+pub use error::StoreError;
 pub use obs::{HydrationReason, TraceEvent, TraceKind};
 pub use persist::recovery::OpenBreakdown;
 pub use persist::DurabilityStats;
 pub use router::ShardRouter;
 pub use shard::{ShardSnapshot, ShardState, StoreShard};
-pub use sharded::{ShardedIndex, ShardedStore, StoreTable};
+pub use sharded::{ShardedStore, StoreTable};
 pub use snapshot::StoreSnapshot;
 pub use txn::Txn;
 pub use versions::VersionStats;
@@ -413,12 +417,12 @@ pub mod prelude {
     pub use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
     pub use crate::config::RetainPolicy;
     pub use crate::config::{DurabilityConfig, StoreConfig, SyncPolicy};
-    pub use crate::error::{RetiredShard, StoreError};
+    pub use crate::error::StoreError;
     pub use crate::obs::{HydrationReason, TraceEvent, TraceKind};
     pub use crate::persist::recovery::OpenBreakdown;
     pub use crate::persist::DurabilityStats;
     pub use crate::shard::{ShardSnapshot, ShardState, StoreShard};
-    pub use crate::sharded::{ShardedIndex, ShardedStore, StoreTable};
+    pub use crate::sharded::{ShardedStore, StoreTable};
     pub use crate::snapshot::StoreSnapshot;
     pub use crate::txn::Txn;
     pub use crate::versions::VersionStats;

@@ -15,9 +15,7 @@
 //!   ([`v2`]): fixed-size key blocks each under its own CRC32, a trailing
 //!   block index, and a versioned footer — so recovery can *mount* a shard
 //!   cold and serve reads off the block index before any key is decoded.
-//!   The monolithic **v1** format ([`snapshot`]) is still read (PR-4-era
-//!   directories recover unchanged; the loader dispatches on the file
-//!   magic). In either format the trained model is *not* persisted:
+//!   [`snapshot`] names the files. The trained model is *not* persisted:
 //!   recovery retrains it from the keys and the spec string.
 //! * **A manifest** (`manifest-<seq>`, [`manifest`]) — the root of every
 //!   checkpoint: the spec string, the fence table, the snapshot file of
@@ -77,8 +75,7 @@
 //! parallel recovery builds) and atomically swaps each hot via the ordinary
 //! rebuild path — readers never block, and a pinned cold state stays valid
 //! forever. Writes to a cold shard land in its delta chain unchanged, since
-//! write paths only consult the index. v1 snapshot files cannot be mounted
-//! (no block index) and are always loaded eagerly.
+//! write paths only consult the index.
 //!
 //! ## Recovery invariants ([`recovery`])
 //!

@@ -14,11 +14,11 @@
 //!    recovery starts from one empty shard and replays the whole WAL.
 //! 2. Load each shard's snapshot. Eagerly this decodes the key column (the
 //!    on-disk format stores no model — it is retrained below). With
-//!    [`StoreConfig::cold_start`] set, a v2 snapshot is instead **mounted**
+//!    [`StoreConfig::cold_start`] set, a snapshot is instead **mounted**
 //!    ([`crate::persist::v2::ColdBase`]): footer + index parse plus one
 //!    checksum sweep, no decode, no training — the shard will serve reads
-//!    off the block index until the background hydrator retrains it. v1
-//!    files have no block index and always load eagerly.
+//!    off the block index until the background hydrator retrains it. A
+//!    file that is not v2 fails validation like any other corrupt file.
 //! 3. Replay every WAL segment in version order through the recovered
 //!    fence router — editing hot key columns directly, and buffering into
 //!    a cold shard's delta chain (write paths never touch base keys, so a
@@ -39,13 +39,12 @@ use crate::config::StoreConfig;
 use crate::delta::DeltaChain;
 use crate::error::StoreError;
 use crate::persist::manifest::{self, ManifestShard};
+use crate::persist::v2;
 use crate::persist::wal::{self, WalEntry, WalOp};
-use crate::persist::{snapshot, v2};
 use crate::router::ShardRouter;
-use crate::shard::{ShardSnapshot, StoreShard};
+use crate::shard::{chain_with_op, ShardSnapshot, StoreShard};
 use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
-use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,25 +149,22 @@ struct LoadedCheckpoint<K: Key> {
     mount_time: Duration,
 }
 
-/// Build one hot shard over recovered keys with the store's tuning knobs.
+/// Build one hot shard over recovered keys with the store's rebuild
+/// threshold.
 fn recovered_shard<K: Key>(
     config: &StoreConfig,
     spec: IndexSpec,
     keys: Vec<K>,
 ) -> Arc<StoreShard<K>> {
-    Arc::new(
-        StoreShard::build_prevalidated(
-            spec,
-            Arc::<[K]>::from(keys),
-            config.delta_threshold,
-            config.build_threads,
-        )
-        .with_chain_tuning(config.max_run_len, config.compact_runs),
-    )
+    Arc::new(StoreShard::build_prevalidated(
+        spec,
+        Arc::<[K]>::from(keys),
+        config.delta_threshold,
+    ))
 }
 
 /// Try to materialise the checkpoint a manifest describes, validating
-/// every snapshot it references. With `cold` set, v2 snapshots are mounted
+/// every snapshot it references. With `cold` set, snapshots are mounted
 /// instead of decoded.
 fn load_checkpoint<K: Key>(
     dir: &Path,
@@ -190,35 +186,25 @@ fn load_checkpoint<K: Key>(
     let mut applied = Vec::with_capacity(m.shards.len());
     for entry in &m.shards {
         let snap_path = dir.join(&entry.snapshot);
-        let mut bytes = Vec::new();
-        std::fs::File::open(&snap_path)?.read_to_end(&mut bytes)?;
-        let (shard_applied, backing) = if bytes.starts_with(&v2::MAGIC) {
-            let base = v2::ColdBase::<K>::from_bytes(&snap_path, bytes)?;
-            if cold {
-                (
-                    base.applied(),
-                    ShardBacking::Cold {
-                        base: Arc::new(base),
-                        delta: DeltaChain::new(),
-                    },
-                )
-            } else {
-                (base.applied(), ShardBacking::Hot(base.decode_all()))
-            }
-        } else {
-            let (a, keys) = snapshot::read_snapshot_bytes::<K>(&snap_path, bytes)?;
-            (a, ShardBacking::Hot(keys))
-        };
-        if shard_applied != entry.applied {
+        let base = v2::ColdBase::<K>::mount(&snap_path)?;
+        if base.applied() != entry.applied {
             return Err(StoreError::Corrupt {
                 path: snap_path,
                 reason: format!(
-                    "snapshot applied version {shard_applied} disagrees with manifest {}",
+                    "snapshot applied version {} disagrees with manifest {}",
+                    base.applied(),
                     entry.applied
                 ),
             });
         }
-        backings.push(backing);
+        backings.push(if cold {
+            ShardBacking::Cold {
+                base: Arc::new(base),
+                delta: DeltaChain::new(),
+            }
+        } else {
+            ShardBacking::Hot(base.decode_all())
+        });
         applied.push(entry.applied);
     }
     if backings.is_empty() {
@@ -328,11 +314,7 @@ pub(crate) fn recover<K: Key>(
                     WalOp::Delete => 0,
                 };
                 if net != 0 {
-                    let mut next = delta.with_op(key, net, config.max_run_len);
-                    if next.unsealed_run_count() >= config.compact_runs {
-                        next = next.compact();
-                    }
-                    *delta = next;
+                    *delta = chain_with_op(delta, key, net);
                 }
                 net != 0
             }
@@ -364,8 +346,8 @@ pub(crate) fn recover<K: Key>(
     // threads: model retraining dominates reopen latency for large stores,
     // and the columns are independent by construction. Concurrency is
     // capped at the machine's parallelism (a long-lived store's split
-    // cascade can leave hundreds of shards; one OS thread per shard — each
-    // fanning out `build_threads` more — would oversubscribe the reopen).
+    // cascade can leave hundreds of shards; one OS thread per shard would
+    // oversubscribe the reopen).
     // lint: allow(timing) reopen retraining is cold; timed once per reopen
     let retrain_start = Instant::now();
     let spec = cp.spec;
@@ -382,17 +364,13 @@ pub(crate) fn recover<K: Key>(
             ShardBacking::Hot(column) => hot.push((i, column)),
             ShardBacking::Cold { base, delta } => {
                 cold_shards += 1;
-                slots[i] = Some(Arc::new(
-                    StoreShard::from_parts_at(
-                        spec,
-                        config.delta_threshold,
-                        config.build_threads,
-                        Arc::new(ShardSnapshot::new_cold(base, 0)),
-                        delta,
-                        0,
-                    )
-                    .with_chain_tuning(config.max_run_len, config.compact_runs),
-                ));
+                slots[i] = Some(Arc::new(StoreShard::from_parts_at(
+                    spec,
+                    config.delta_threshold,
+                    Arc::new(ShardSnapshot::new_cold(base, 0)),
+                    delta,
+                    0,
+                )));
             }
         }
     }

@@ -1,227 +1,11 @@
-//! Shard snapshot files, format **v1**: one shard's merged key column
-//! under a single checksum.
+//! Shard snapshot file naming.
 //!
-//! New checkpoints write the block-structured v2 format
-//! ([`crate::persist::v2`]); this module keeps the v1 writer for its own
-//! round-trip tests and the v1 *reader* for backward compatibility —
-//! [`read_snapshot`] dispatches on the leading magic, so a PR-4-era
-//! directory full of v1 files recovers unchanged (eagerly: v1 files have
-//! no block index and can never be cold-mounted).
-//!
-//! ## On-disk format (v1)
-//!
-//! ```text
-//! ┌───────────────┬──────────┬──────────────┬──────────────────────────┐
-//! │ magic (8 B)   │ crc: u32 │ body_len:u64 │ body (body_len bytes)    │
-//! │ "SSTSNAP1"    │  (LE)    │  (LE)        │                          │
-//! └───────────────┴──────────┴──────────────┴──────────────────────────┘
-//! body := applied: u64 LE │ key_bits: u32 LE │ count: u64 LE │ keys…
-//! ```
-//!
-//! `crc` is the CRC32 of the body. `applied` is the store version the
-//! snapshot is consistent with: it contains the effect of every write with
-//! version `<= applied` routed to the shard, and none above. Keys are
-//! written as `u64` LE regardless of the store's key width (`key_bits`
-//! records the logical width and is validated on load). The trained model
-//! is deliberately *not* serialized — recovery retrains it from the keys
-//! and the manifest's spec string, trading open latency for a format that
-//! never goes stale as model internals evolve.
-
-use crate::error::StoreError;
-use crate::persist::crc32;
-use sosd_data::key::Key;
-use std::io::{Read, Write};
-use std::path::Path;
-
-/// Snapshot file magic.
-pub const MAGIC: [u8; 8] = *b"SSTSNAP1";
+//! Checkpoints write each shard's merged key column in the block-structured
+//! v2 format ([`crate::persist::v2`]); this module names the files, so a
+//! fresh file is always named under the manifest sequence that first
+//! references it (see the GC invariants in [`crate::persist`]).
 
 /// File name of shard `shard`'s snapshot under manifest sequence `seq`.
 pub fn snapshot_name(seq: u64, shard: usize) -> String {
     format!("snap-{seq:010}-{shard:04}.snap")
-}
-
-/// Write a **v1** snapshot of `keys` (consistent with store version
-/// `applied`) to `path`, fsyncing it before returning — the manifest must
-/// never reference a snapshot that could still be lost. Returns the bytes
-/// written.
-///
-/// Checkpoints write the v2 format; this writer is kept public as the
-/// backward-compatibility fixture generator (tests craft v1 directories
-/// with it and assert recovery still reads them).
-pub fn write_snapshot<K: Key>(path: &Path, applied: u64, keys: &[K]) -> std::io::Result<u64> {
-    let mut body = Vec::with_capacity(20 + keys.len() * 8);
-    body.extend_from_slice(&applied.to_le_bytes());
-    body.extend_from_slice(&K::BITS.to_le_bytes());
-    body.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    for k in keys {
-        body.extend_from_slice(&k.to_u64().to_le_bytes());
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(&MAGIC)?;
-    file.write_all(&crc32(&body).to_le_bytes())?;
-    file.write_all(&(body.len() as u64).to_le_bytes())?;
-    file.write_all(&body)?;
-    file.sync_all()?;
-    Ok((MAGIC.len() + 12 + body.len()) as u64)
-}
-
-fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        path: path.to_path_buf(),
-        reason: reason.into(),
-    }
-}
-
-/// Load and validate a snapshot of either format, returning
-/// `(applied_version, keys)` — v2 files (leading magic `SSTSNAP2`) are
-/// routed to [`crate::persist::v2::read_snapshot_v2`], everything else is
-/// parsed as v1.
-///
-/// # Errors
-/// [`StoreError::Corrupt`] on any structural damage: bad magic, truncated
-/// header or body, checksum mismatch, key-width mismatch, or keys that are
-/// not sorted. [`StoreError::Io`] if the file cannot be read at all.
-pub fn read_snapshot<K: Key>(path: &Path) -> Result<(u64, Vec<K>), StoreError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    read_snapshot_bytes(path, bytes)
-}
-
-/// [`read_snapshot`] over bytes already in memory (`path` is for error
-/// reporting only) — recovery reads each file once and dispatches here.
-pub(crate) fn read_snapshot_bytes<K: Key>(
-    path: &Path,
-    bytes: Vec<u8>,
-) -> Result<(u64, Vec<K>), StoreError> {
-    if bytes.starts_with(&crate::persist::v2::MAGIC) {
-        return crate::persist::v2::reader::read_snapshot_v2_bytes(path, bytes);
-    }
-    if bytes.len() < MAGIC.len() + 12 {
-        return Err(corrupt(path, "truncated header"));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt(path, "bad magic"));
-    }
-    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-    let body_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let Some(body) = bytes.get(20..20 + body_len) else {
-        return Err(corrupt(path, "truncated body"));
-    };
-    if crc32(body) != crc {
-        return Err(corrupt(path, "checksum mismatch"));
-    }
-    if body.len() < 20 {
-        return Err(corrupt(path, "body too short"));
-    }
-    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-    let applied = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-    let key_bits = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    if key_bits != K::BITS {
-        return Err(corrupt(
-            path,
-            format!(
-                "key width mismatch: snapshot {key_bits} bits, store {} bits",
-                K::BITS
-            ),
-        ));
-    }
-    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-    let count = u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"));
-    // Derive the count the body can actually hold and compare — the naive
-    // `20 + count * 8` wraps for a crafted count and would pass the check
-    // only to abort on the allocation below.
-    let key_bytes = body.len() - 20;
-    if key_bytes % 8 != 0 || (key_bytes / 8) as u64 != count {
-        return Err(corrupt(path, "key count disagrees with body length"));
-    }
-    let mut keys = Vec::with_capacity(key_bytes / 8);
-    for chunk in body[20..].chunks_exact(8) {
-        keys.push(K::from_u64_saturating(u64::from_le_bytes(
-            // lint: allow(panic) chunks_exact(8) yields 8-byte slices; try_into cannot fail
-            chunk.try_into().expect("8 bytes"),
-        )));
-    }
-    if !keys.is_sorted() {
-        return Err(corrupt(path, "snapshot keys are not sorted"));
-    }
-    Ok((applied, keys))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("shift-store-snap-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir
-    }
-
-    #[test]
-    fn snapshot_round_trips_both_key_widths() {
-        let dir = tmp("roundtrip");
-        let p64 = dir.join(snapshot_name(3, 0));
-        let keys64: Vec<u64> = (0..500u64).map(|i| i * i).collect();
-        let bytes = write_snapshot(&p64, 42, &keys64).unwrap();
-        assert_eq!(bytes, 20 + 20 + 500 * 8);
-        let (applied, loaded): (u64, Vec<u64>) = read_snapshot(&p64).unwrap();
-        assert_eq!(applied, 42);
-        assert_eq!(loaded, keys64);
-
-        let p32 = dir.join(snapshot_name(3, 1));
-        let keys32: Vec<u32> = vec![1, 1, 2, 900];
-        write_snapshot(&p32, 7, &keys32).unwrap();
-        let (applied, loaded): (u64, Vec<u32>) = read_snapshot(&p32).unwrap();
-        assert_eq!((applied, loaded), (7, keys32));
-
-        // Width mismatch is rejected, not silently narrowed.
-        let err = read_snapshot::<u64>(&p32).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-
-        // Empty snapshots are valid (a shard can be empty).
-        let pe = dir.join(snapshot_name(3, 2));
-        write_snapshot::<u64>(&pe, 0, &[]).unwrap();
-        assert_eq!(read_snapshot::<u64>(&pe).unwrap(), (0, vec![]));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn damage_is_detected() {
-        let dir = tmp("damage");
-        let path = dir.join(snapshot_name(1, 0));
-        let keys: Vec<u64> = (0..64u64).collect();
-        write_snapshot(&path, 9, &keys).unwrap();
-        let good = std::fs::read(&path).unwrap();
-        for (at, reason) in [(0usize, "magic"), (9, "crc"), (40, "payload")] {
-            let mut bent = good.clone();
-            bent[at] ^= 0x40;
-            std::fs::write(&path, &bent).unwrap();
-            let err = read_snapshot::<u64>(&path).unwrap_err();
-            assert!(matches!(err, StoreError::Corrupt { .. }), "{reason}: {err}");
-        }
-        // Truncation.
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(read_snapshot::<u64>(&path).is_err());
-
-        // A crafted count whose naive `20 + count * 8` wraps to the true
-        // body length (CRC recomputed, so only the count check can catch
-        // it) must come back as Corrupt, not a capacity-overflow panic.
-        write_snapshot(&path, 9, &[42u64]).unwrap();
-        let mut crafted = std::fs::read(&path).unwrap();
-        let evil_count: u64 = (1 << 61) + 1; // (2^61 + 1) * 8 ≡ 8 (mod 2^64)
-        crafted[32..40].copy_from_slice(&evil_count.to_le_bytes());
-        let crc = crate::persist::crc32(&crafted[20..]);
-        crafted[8..12].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &crafted).unwrap();
-        let err = read_snapshot::<u64>(&path).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -5,9 +5,8 @@
 //! knob), encodes each under its own CRC32, records an index entry per
 //! block, and closes the file with the checksummed index and footer — see
 //! the [`super`] module docs for the byte layout. The whole image is
-//! assembled in memory and written with one `write_all` + `fsync`, exactly
-//! like the v1 writer: the manifest must never reference a snapshot that
-//! could still be lost.
+//! assembled in memory and written with one `write_all` + `fsync`: the
+//! manifest must never reference a snapshot that could still be lost.
 
 use super::block::{encode_block, BlockMeta};
 use super::{FOOTER_LEN, FORMAT_VERSION, MAGIC};

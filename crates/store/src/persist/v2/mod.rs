@@ -1,9 +1,9 @@
 //! Snapshot format v2: block-structured shard snapshots.
 //!
-//! The v1 format ([`crate::persist::snapshot`]) is one monolithic body
-//! under one checksum: a reader must load, checksum and decode the whole
-//! file before it can answer a single query, and a single flipped byte is
-//! indistinguishable from total loss. Format v2 splits the key column into
+//! A monolithic body under one checksum (the retired v1 format) forces a
+//! reader to load, checksum and decode the whole file before it can answer
+//! a single query, and makes a single flipped byte indistinguishable from
+//! total loss. Format v2 splits the key column into
 //! fixed-size **blocks**, each under its own CRC32, with a trailing **block
 //! index** (first key + offset + count per block) and a versioned
 //! **footer** — so a reader can locate and binary-search one block without
@@ -36,11 +36,11 @@
 //!             │ magic (8 B) "SSTSNAP2"
 //! ```
 //!
-//! Keys are written as `u64` LE regardless of the store's key width
-//! (exactly like v1), and an empty shard is a valid file of magic + footer
-//! with zero blocks. The trained model is still *not* persisted — a mounted
-//! file serves reads straight off the block index, and hydration retrains
-//! the model from the decoded keys and the manifest's spec string.
+//! Keys are written as `u64` LE regardless of the store's key width, and
+//! an empty shard is a valid file of magic + footer with zero blocks. The
+//! trained model is still *not* persisted — a mounted file serves reads
+//! straight off the block index, and hydration retrains the model from the
+//! decoded keys and the manifest's spec string.
 //!
 //! ## Validation model
 //!

@@ -66,12 +66,6 @@ impl<K: Key> ColdBase<K> {
     pub fn mount(path: &Path) -> Result<Self, StoreError> {
         let mut bytes = Vec::new();
         std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_bytes(path, bytes)
-    }
-
-    /// [`ColdBase::mount`] over bytes already in memory (`path` is only
-    /// used to label errors).
-    pub(crate) fn from_bytes(path: &Path, bytes: Vec<u8>) -> Result<Self, StoreError> {
         if bytes.len() < MAGIC.len() + FOOTER_LEN {
             return Err(corrupt(path, "truncated: shorter than magic + footer"));
         }
@@ -355,20 +349,11 @@ impl<K: Key> RangeIndex<K> for ColdBlockIndex<K> {
 }
 
 /// Eagerly load a v2 snapshot: mount (full validation) and decode every
-/// key. Returns `(applied_version, keys)`, mirroring the v1 reader.
+/// key. Returns `(applied_version, keys)`.
 ///
 /// # Errors
 /// Exactly [`ColdBase::mount`]'s.
 pub fn read_snapshot_v2<K: Key>(path: &Path) -> Result<(u64, Vec<K>), StoreError> {
     let base = ColdBase::<K>::mount(path)?;
-    Ok((base.applied(), base.decode_all()))
-}
-
-/// [`read_snapshot_v2`] over bytes already in memory.
-pub(crate) fn read_snapshot_v2_bytes<K: Key>(
-    path: &Path,
-    bytes: Vec<u8>,
-) -> Result<(u64, Vec<K>), StoreError> {
-    let base = ColdBase::<K>::from_bytes(path, bytes)?;
     Ok((base.applied(), base.decode_all()))
 }

@@ -40,7 +40,6 @@
 
 use crate::delta::DeltaChain;
 use crate::epoch::{CommitClock, EpochCell};
-use crate::error::RetiredShard;
 use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
@@ -296,14 +295,6 @@ impl<K: Key> ShardState<K> {
 pub struct StoreShard<K: Key> {
     spec: IndexSpec,
     threshold: usize,
-    build_threads: usize,
-    max_run_len: usize,
-    compact_runs: usize,
-    /// Commit clock for writes applied through the shard's own public API.
-    /// Store-managed shards are written through the `*_clocked` / `*_at`
-    /// crate paths instead, which stamp the **store's** clock so one
-    /// store-wide snapshot can cut across every shard.
-    own_clock: CommitClock,
     state: EpochCell<ShardState<K>>,
     /// Serialises publishers (writes, compactions, swaps); never read-side.
     write: Mutex<()>,
@@ -329,65 +320,23 @@ pub struct StoreShard<K: Key> {
 }
 
 impl<K: Key> StoreShard<K> {
-    /// Build a shard over sorted `keys` with the given spec and rebuild
-    /// threshold.
-    ///
-    /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted.
-    pub fn build(
-        spec: IndexSpec,
-        keys: impl Into<Arc<[K]>>,
-        threshold: usize,
-        build_threads: usize,
-    ) -> Result<Self, BuildError> {
-        let keys: Arc<[K]> = keys.into();
-        if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
-            return Err(BuildError::UnsortedKeys {
-                position: position + 1,
-            });
-        }
-        Ok(Self::build_prevalidated(
-            spec,
-            keys,
-            threshold,
-            build_threads,
-        ))
-    }
-
-    /// [`StoreShard::build`] for callers that already validated the keys
+    /// Build a shard over `keys`, which the caller guarantees are sorted
     /// (the sharded store validates its whole column once, then cuts it
-    /// into chunks).
-    pub(crate) fn build_prevalidated(
-        spec: IndexSpec,
-        keys: Arc<[K]>,
-        threshold: usize,
-        build_threads: usize,
-    ) -> Self {
-        let index = build_index(&spec, keys.clone(), build_threads);
+    /// into chunks; recovery loads columns that were sorted when written).
+    pub(crate) fn build_prevalidated(spec: IndexSpec, keys: Arc<[K]>, threshold: usize) -> Self {
+        let index = build_index(&spec, keys.clone());
         let snapshot = Arc::new(ShardSnapshot::new(keys, index, 0));
-        Self::from_parts(spec, threshold, build_threads, snapshot, DeltaChain::new())
+        Self::from_parts_at(spec, threshold, snapshot, DeltaChain::new(), 0)
     }
 
-    /// Assemble a shard from an already-built snapshot and a carried-over
-    /// delta chain — the constructor splits and merges use for their
-    /// children.
-    pub(crate) fn from_parts(
-        spec: IndexSpec,
-        threshold: usize,
-        build_threads: usize,
-        snapshot: Arc<ShardSnapshot<K>>,
-        delta: DeltaChain<K>,
-    ) -> Self {
-        Self::from_parts_at(spec, threshold, build_threads, snapshot, delta, 0)
-    }
-
-    /// [`StoreShard::from_parts`] with an inherited commit-version floor —
-    /// split/merge children start at their parent's `applied_cv` so the
-    /// stamp stays monotonic across topology changes.
+    /// Assemble a shard from an already-built snapshot, a carried-over
+    /// delta chain and an inherited commit-version floor — the constructor
+    /// splits and merges use for their children (which start at their
+    /// parent's `applied_cv`, so the stamp stays monotonic across topology
+    /// changes) and recovery uses for cold shards.
     pub(crate) fn from_parts_at(
         spec: IndexSpec,
         threshold: usize,
-        build_threads: usize,
         snapshot: Arc<ShardSnapshot<K>>,
         delta: DeltaChain<K>,
         applied_cv: u64,
@@ -397,10 +346,6 @@ impl<K: Key> StoreShard<K> {
         Self {
             spec,
             threshold: threshold.max(1),
-            build_threads: build_threads.max(1),
-            max_run_len: 32,
-            compact_runs: 8,
-            own_clock: CommitClock::new(),
             state: EpochCell::new(Arc::new(ShardState {
                 snapshot,
                 delta,
@@ -459,15 +404,6 @@ impl<K: Key> StoreShard<K> {
         self.hydration_requested.swap(false, Ordering::Relaxed)
     }
 
-    /// Tune the delta-chain shape: `max_run_len` bounds the head run a write
-    /// amends (write cost), `compact_runs` caps the unsealed run count
-    /// before the writer folds the chain inline (read cost).
-    pub(crate) fn with_chain_tuning(mut self, max_run_len: usize, compact_runs: usize) -> Self {
-        self.max_run_len = max_run_len.max(1);
-        self.compact_runs = compact_runs.max(2);
-        self
-    }
-
     /// Pin and return the current state (one epoch acquisition; see
     /// [`EpochCell::load`]). Everything derived from the returned value is
     /// immutable and internally consistent.
@@ -516,17 +452,13 @@ impl<K: Key> StoreShard<K> {
         self.state.load().range(lo, hi)
     }
 
-    /// Buffer one inserted occurrence of `k`. Returns `Some(dirty)` — true
-    /// when the write made (or left) the shard dirty — or `None` when the
-    /// shard has been retired by a split/merge (the caller re-routes).
-    pub fn try_insert(&self, k: K) -> Option<bool> {
-        self.try_insert_clocked(k, &self.own_clock)
-    }
-
-    /// [`StoreShard::try_insert`] stamped against the caller's commit clock
-    /// (the store's, so store-wide snapshots can cut across shards). The
-    /// clock window is opened under the shard's write lock, which is what
-    /// keeps per-shard apply order equal to commit-version order.
+    /// Buffer one inserted occurrence of `k`, stamped against the caller's
+    /// commit clock (the store's, so store-wide snapshots can cut across
+    /// shards). Returns `Some(dirty)` — true when the write made (or left)
+    /// the shard dirty — or `None` when the shard has been retired by a
+    /// split/merge (the caller re-routes). The clock window is opened under
+    /// the shard's write lock, which is what keeps per-shard apply order
+    /// equal to commit-version order.
     pub(crate) fn try_insert_clocked(&self, k: K, clock: &CommitClock) -> Option<bool> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -557,16 +489,11 @@ impl<K: Key> StoreShard<K> {
         Some(dirty)
     }
 
-    /// Buffer a tombstone for one occurrence of `k`. Returns
-    /// `Some((removed, dirty))`: `removed` is false (and nothing is
+    /// Buffer a tombstone for one occurrence of `k`, stamped against the
+    /// caller's commit clock (see [`StoreShard::try_insert_clocked`]).
+    /// Returns `Some((removed, dirty))`: `removed` is false (and nothing is
     /// recorded) when the merged view holds no occurrence of `k`. `None`
     /// means the shard was retired (the caller re-routes).
-    pub fn try_delete(&self, k: K) -> Option<(bool, bool)> {
-        self.try_delete_clocked(k, &self.own_clock)
-    }
-
-    /// [`StoreShard::try_delete`] stamped against the caller's commit clock
-    /// (see [`StoreShard::try_insert_clocked`]).
     pub(crate) fn try_delete_clocked(&self, k: K, clock: &CommitClock) -> Option<(bool, bool)> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -637,57 +564,10 @@ impl<K: Key> StoreShard<K> {
     /// `applied_cv` backwards. Must hold `write`.
     fn publish_op(&self, k: K, net: i64, cv: u64) -> bool {
         let cur = self.state.load();
-        let mut delta = cur.delta.with_op(k, net, self.max_run_len);
-        if delta.unsealed_run_count() >= self.compact_runs {
-            // Inline amortised compaction: O(chain entries) once every
-            // `compact_runs × max_run_len` ops keeps reads at a handful of
-            // binary searches without waiting for the maintenance worker.
-            delta = delta.compact();
-        }
+        let delta = chain_with_op(&cur.delta, k, net);
         let dirty = delta.ops() >= self.threshold;
         self.publish_at(cur.snapshot.clone(), delta, cur.applied_cv.max(cv));
         dirty
-    }
-
-    /// Buffer one inserted occurrence of `k` on a shard that is not managed
-    /// by a store. Returns true when the write made (or left) the shard
-    /// dirty.
-    ///
-    /// Prefer [`StoreShard::try_insert`] whenever the shard might live under
-    /// a [`crate::ShardedStore`]: the store's rebalancer retires shards it
-    /// replaces, and the `try_*` form signals that with `None` so the caller
-    /// can re-route instead of failing.
-    ///
-    /// # Errors
-    /// [`RetiredShard`] if a split or merge has replaced this shard. Debug
-    /// builds assert first — writing to a retired shard directly is always a
-    /// routing bug — but release builds surface the typed error rather than
-    /// an ambient panic.
-    pub fn insert(&self, k: K) -> Result<bool, RetiredShard> {
-        let result = self.try_insert(k).ok_or(RetiredShard);
-        debug_assert!(
-            result.is_ok(),
-            "insert on a retired shard (re-route via the store table)"
-        );
-        result
-    }
-
-    /// Buffer a tombstone for one occurrence of `k` on an unmanaged shard.
-    /// Returns `(removed, dirty)`.
-    ///
-    /// Prefer [`StoreShard::try_delete`] under a [`crate::ShardedStore`];
-    /// see [`StoreShard::insert`] for the retirement contract.
-    ///
-    /// # Errors
-    /// [`RetiredShard`] if a split or merge has replaced this shard
-    /// (`debug_assert!`ed first, as for [`StoreShard::insert`]).
-    pub fn delete(&self, k: K) -> Result<(bool, bool), RetiredShard> {
-        let result = self.try_delete(k).ok_or(RetiredShard);
-        debug_assert!(
-            result.is_ok(),
-            "delete on a retired shard (re-route via the store table)"
-        );
-        result
     }
 
     /// True when the buffered operation count has reached the threshold
@@ -708,7 +588,7 @@ impl<K: Key> StoreShard<K> {
 
     /// Fold the chain's unsealed runs into one run, bounding per-read merge
     /// cost. Returns true when the chain shape changed. Called by the
-    /// maintenance worker; writers also compact inline past `compact_runs`.
+    /// maintenance worker; writers also compact inline past a fixed run count.
     pub fn compact(&self) -> bool {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -753,7 +633,7 @@ impl<K: Key> StoreShard<K> {
         };
         // Build phase — no lock held; reads and writes proceed.
         let merged: Arc<[K]> = frozen.merged_keys().into();
-        let index = build_index(&self.spec, merged.clone(), self.build_threads);
+        let index = build_index(&self.spec, merged.clone());
         let snapshot = Arc::new(ShardSnapshot::new(merged, index, frozen.snapshot.epoch + 1));
         // Swap phase: install the new epoch, keep only post-seal writes.
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
@@ -828,15 +708,28 @@ impl<K: Key> StoreShard<K> {
     pub(crate) fn threshold(&self) -> usize {
         self.threshold
     }
+}
 
-    /// The shard's builder thread count.
-    pub(crate) fn build_threads(&self) -> usize {
-        self.build_threads
-    }
+/// Maximum entry count of the delta-chain head run a write may amend; past
+/// it the write opens a fresh run. Bounds the per-write copy cost.
+pub(crate) const MAX_RUN_LEN: usize = 32;
 
-    /// The chain tuning pair `(max_run_len, compact_runs)`.
-    pub(crate) fn chain_tuning(&self) -> (usize, usize) {
-        (self.max_run_len, self.compact_runs)
+/// Unsealed run count at which a write folds the chain inline (the
+/// maintenance worker compacts earlier, at half of it). Bounds the per-read
+/// merge cost at one binary search per run.
+pub(crate) const COMPACT_RUNS: usize = 8;
+
+/// `delta` with one more op recorded — the chain-shape decision every
+/// writer and WAL replay shares. Inline amortised compaction (O(chain
+/// entries) once every `COMPACT_RUNS × MAX_RUN_LEN` ops) keeps reads at a
+/// handful of binary searches without waiting for the maintenance worker.
+#[inline]
+pub(crate) fn chain_with_op<K: Key>(delta: &DeltaChain<K>, k: K, net: i64) -> DeltaChain<K> {
+    let next = delta.with_op(k, net, MAX_RUN_LEN);
+    if next.unsealed_run_count() >= COMPACT_RUNS {
+        next.compact()
+    } else {
+        next
     }
 }
 
@@ -857,12 +750,8 @@ fn merged_position(base: usize, net_below: i64) -> usize {
 /// Build a shard index from a spec over shared storage the caller
 /// guarantees is sorted — initial builds validate up front, rebuilds merge
 /// sorted inputs — so no redundant O(n) sortedness scan runs per (re)build.
-pub(crate) fn build_index<K: Key>(
-    spec: &IndexSpec,
-    keys: Arc<[K]>,
-    threads: usize,
-) -> DynRangeIndex<K> {
-    spec.build_dyn_prevalidated_with(keys, Default::default(), threads)
+pub(crate) fn build_index<K: Key>(spec: &IndexSpec, keys: Arc<[K]>) -> DynRangeIndex<K> {
+    spec.build_dyn_prevalidated_with(keys, Default::default(), 1)
 }
 
 #[cfg(test)]
@@ -873,34 +762,41 @@ mod tests {
         IndexSpec::parse("im+r1").unwrap()
     }
 
+    /// A shard over sorted `keys`, built through the store's constructor.
+    fn shard_over(keys: Vec<u64>, threshold: usize) -> StoreShard<u64> {
+        StoreShard::build_prevalidated(spec(), keys.into(), threshold)
+    }
+
     #[test]
     fn merged_reads_reflect_buffered_writes() {
+        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).map(|i| i * 10).collect();
-        let shard = StoreShard::build(spec(), keys, 1_000, 1).unwrap();
+        let shard = shard_over(keys, 1_000);
         assert_eq!(shard.len(), 100);
         assert_eq!(shard.lower_bound(55), 6);
-        shard.insert(55).unwrap();
+        shard.try_insert_clocked(55, &clock).unwrap();
         assert_eq!(shard.len(), 101);
         assert_eq!(shard.lower_bound(55), 6);
         assert_eq!(shard.lower_bound(56), 7);
         assert_eq!(shard.count_of(55), 1);
-        let (removed, _) = shard.delete(55).unwrap();
+        let (removed, _) = shard.try_delete_clocked(55, &clock).unwrap();
         assert!(removed);
         assert_eq!(shard.count_of(55), 0);
-        let (removed, _) = shard.delete(55).unwrap();
+        let (removed, _) = shard.try_delete_clocked(55, &clock).unwrap();
         assert!(!removed, "deleting an absent key is a no-op");
         assert_eq!(shard.len(), 100);
     }
 
     #[test]
     fn rebuild_folds_the_chain_and_bumps_the_epoch() {
+        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..50u64).map(|i| i * 2).collect();
-        let shard = StoreShard::build(spec(), keys, 4, 1).unwrap();
+        let shard = shard_over(keys, 4);
         assert_eq!(shard.snapshot().epoch(), 0);
         assert!(!shard.rebuild().unwrap(), "clean shard does not rebuild");
         let mut dirty = false;
         for k in [1u64, 3, 5, 7, 9] {
-            dirty = shard.insert(k).unwrap();
+            dirty = shard.try_insert_clocked(k, &clock).unwrap();
         }
         assert!(dirty);
         assert!(shard.is_dirty());
@@ -917,10 +813,11 @@ mod tests {
 
     #[test]
     fn delete_then_rebuild_shrinks_the_base() {
+        let clock = CommitClock::new();
         let keys = vec![5u64, 5, 5, 9];
-        let shard = StoreShard::build(spec(), keys, 100, 1).unwrap();
-        assert!(shard.delete(5).unwrap().0);
-        assert!(shard.delete(5).unwrap().0);
+        let shard = shard_over(keys, 100);
+        assert!(shard.try_delete_clocked(5, &clock).unwrap().0);
+        assert!(shard.try_delete_clocked(5, &clock).unwrap().0);
         assert_eq!(shard.len(), 2);
         shard.rebuild().unwrap();
         assert_eq!(shard.snapshot().keys(), &[5, 9]);
@@ -929,10 +826,11 @@ mod tests {
 
     #[test]
     fn empty_shard_accepts_writes() {
-        let shard = StoreShard::build(spec(), Vec::<u64>::new(), 100, 1).unwrap();
+        let clock = CommitClock::new();
+        let shard = shard_over(Vec::new(), 100);
         assert!(shard.is_empty());
         assert_eq!(shard.lower_bound(7), 0);
-        shard.insert(7).unwrap();
+        shard.try_insert_clocked(7, &clock).unwrap();
         assert_eq!(shard.len(), 1);
         assert_eq!(shard.lower_bound(7), 0);
         assert_eq!(shard.lower_bound(8), 1);
@@ -942,14 +840,15 @@ mod tests {
 
     #[test]
     fn a_pinned_state_is_immune_to_later_writes_and_rebuilds() {
+        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).collect();
-        let shard = StoreShard::build(spec(), keys, 4, 1).unwrap();
-        shard.insert(1_000).unwrap();
+        let shard = shard_over(keys, 4);
+        shard.try_insert_clocked(1_000, &clock).unwrap();
         let pinned = shard.state();
         let v = pinned.version();
         assert_eq!(pinned.lower_bound(u64::MAX), 101);
         for k in 0..20u64 {
-            shard.insert(2_000 + k).unwrap(); // crosses the threshold — no rebuild yet
+            shard.try_insert_clocked(2_000 + k, &clock).unwrap(); // crosses the threshold — no rebuild yet
         }
         shard.rebuild().unwrap();
         // The pinned state still answers from its own epoch.
@@ -961,10 +860,11 @@ mod tests {
 
     #[test]
     fn versions_increase_with_every_published_write() {
-        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 1_000, 1).unwrap();
+        let clock = CommitClock::new();
+        let shard = shard_over(vec![1u64, 2, 3], 1_000);
         let mut last = shard.state().version();
         for k in 0..10u64 {
-            shard.insert(k).unwrap();
+            shard.try_insert_clocked(k, &clock).unwrap();
             let v = shard.state().version();
             assert!(v > last);
             last = v;
@@ -973,25 +873,27 @@ mod tests {
 
     #[test]
     fn inline_compaction_bounds_the_chain() {
+        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).collect();
-        let shard = StoreShard::build(spec(), keys, 1_000_000, 1)
-            .unwrap()
-            .with_chain_tuning(1, 4);
-        for k in 0..64u64 {
-            shard.insert(500 + k).unwrap();
+        let shard = shard_over(keys, 1_000_000);
+        // Enough distinct inserts to fill `COMPACT_RUNS` full runs twice.
+        let n = 2 * COMPACT_RUNS * MAX_RUN_LEN;
+        for k in 0..n as u64 {
+            shard.try_insert_clocked(500 + k, &clock).unwrap();
         }
         let state = shard.state();
         assert!(
-            state.delta().run_count() < 4,
+            state.delta().run_count() < COMPACT_RUNS,
             "inline compaction must bound the chain, got {} runs",
             state.delta().run_count()
         );
-        assert_eq!(state.delta().ops(), 64, "compaction preserves churn");
-        assert_eq!(shard.lower_bound(u64::MAX), 164);
+        assert_eq!(state.delta().ops(), n, "compaction preserves churn");
+        assert_eq!(shard.lower_bound(u64::MAX), 100 + n);
     }
 
     #[test]
     fn cold_shard_reads_equal_hot_reads_and_rebuild_hydrates() {
+        let clock = CommitClock::new();
         let dir = std::env::temp_dir().join(format!("shift-store-cold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1001,11 +903,10 @@ mod tests {
         let base = Arc::new(crate::persist::v2::ColdBase::<u64>::mount(&path).unwrap());
         assert_eq!(base.applied(), 17);
 
-        let hot = StoreShard::build(spec(), keys.clone(), 1_000_000, 1).unwrap();
+        let hot = shard_over(keys.clone(), 1_000_000);
         let cold = StoreShard::from_parts_at(
             spec(),
             1_000_000,
-            1,
             Arc::new(ShardSnapshot::new_cold(base, 0)),
             DeltaChain::new(),
             17,
@@ -1017,9 +918,9 @@ mod tests {
 
         // Writes land in the chain of a cold shard exactly as a hot one.
         for shard in [&cold, &hot] {
-            shard.insert(10).unwrap();
-            shard.insert(9_001).unwrap();
-            assert!(shard.delete(6).unwrap().0);
+            shard.try_insert_clocked(10, &clock).unwrap();
+            shard.try_insert_clocked(9_001, &clock).unwrap();
+            assert!(shard.try_delete_clocked(6, &clock).unwrap().0);
         }
         let probes: Vec<u64> = (0..400).map(|i| i * 23).collect();
         for &q in &probes {
@@ -1052,15 +953,16 @@ mod tests {
 
     #[test]
     fn retired_shard_rejects_writes_but_still_serves_reads() {
-        let shard = StoreShard::build(spec(), vec![1u64, 2, 3], 100, 1).unwrap();
-        shard.insert(10).unwrap();
+        let clock = CommitClock::new();
+        let shard = shard_over(vec![1u64, 2, 3], 100);
+        shard.try_insert_clocked(10, &clock).unwrap();
         {
             let _w = shard.lock_write();
             shard.retire();
         }
         assert!(shard.is_retired());
-        assert_eq!(shard.try_insert(11), None);
-        assert_eq!(shard.try_delete(1), None);
+        assert_eq!(shard.try_insert_clocked(11, &clock), None);
+        assert_eq!(shard.try_delete_clocked(1, &clock), None);
         assert_eq!(shard.lower_bound(u64::MAX), 4, "reads keep working");
         assert!(!shard.rebuild().unwrap(), "retired shards do not rebuild");
     }

@@ -1,20 +1,17 @@
-//! Range-sharded indexes: an atomically published shard table over
+//! The range-sharded store: an atomically published shard table over
 //! epoch-snapshot shards.
 //!
-//! [`ShardedIndex`] is the read-only form — `N` independently built
-//! [`DynRangeIndex`] shards over contiguous key chunks, with batched lookups
-//! grouped by shard so each shard's stage-blocked batch path stays intact.
-//!
-//! [`ShardedStore`] adds the write path and a *mutable topology*: the router
-//! and the shard list travel together as one immutable [`StoreTable`] behind
-//! an [`EpochCell`], so every read (scalar, batched, range) pins one table
-//! and sees a consistent fence/shard pairing even while the rebalancer is
-//! splitting a hot shard or merging undersized neighbours. Writers load the
-//! table, route, and append to the target shard; a shard replaced by a
-//! split/merge is *retired* (it refuses further writes) and the writer
-//! transparently retries against the freshly published table. Dirty shards
-//! are rebuilt inline on the crossing write (`auto_rebuild`), by the
-//! background [`MaintenanceWorker`], or via [`ShardedStore::maintain`] /
+//! [`ShardedStore`] holds `N` shards over contiguous key chunks behind a
+//! *mutable topology*: the router and the shard list travel together as
+//! one immutable [`StoreTable`] behind an [`EpochCell`], so every read
+//! (scalar, batched, range) pins one table and sees a consistent
+//! fence/shard pairing even while the rebalancer is splitting a hot shard
+//! or merging undersized neighbours. Writers load the table, route, and
+//! append to the target shard; a shard replaced by a split/merge is
+//! *retired* (it refuses further writes) and the writer transparently
+//! retries against the freshly published table. Dirty shards are rebuilt
+//! inline on the crossing write (`auto_rebuild`), by the background
+//! [`MaintenanceWorker`], or via [`ShardedStore::maintain`] /
 //! [`ShardedStore::flush`].
 
 use crate::batch::{BatchOp, BatchReceipt, WriteBatch};
@@ -28,59 +25,25 @@ use crate::persist::recovery::OpenBreakdown;
 use crate::persist::wal::WalOp;
 use crate::persist::{self, recovery, snapshot, v2, DurabilityStats, Persistence};
 use crate::router::ShardRouter;
-use crate::shard::{build_index, ShardSnapshot, StoreShard};
+use crate::shard::{build_index, ShardSnapshot, StoreShard, COMPACT_RUNS};
 use crate::snapshot::{PinnedCut, SnapshotHook, StoreSnapshot};
 use crate::txn::{ReadSet, Txn};
 use crate::versions::{diff_cuts, VersionRing, VersionStats};
 use crate::worker::{HydrationWorker, MaintenanceWorker, WorkerSignal};
-use algo_index::search::{DynRangeIndex, RangeIndex};
+use algo_index::search::RangeIndex;
 use shift_obs::{MetricsProvider, MetricsReport, MetricsServer};
 use shift_table::error::BuildError;
-use shift_table::spec::IndexSpec;
 use sosd_data::key::Key;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// What [`build_chunked`] hands back: the router, the chunk start offsets
-/// and the built shards.
-type ChunkedBuild<K, T> = (ShardRouter<K>, Vec<usize>, Vec<T>);
-
-/// Shared construction path of both sharded types: validate sortedness once,
-/// partition into duplicate-run-aligned chunks, and build one shard value per
-/// chunk with scoped worker threads.
-fn build_chunked<K: Key, T: Send>(
-    keys: &[K],
-    shards: usize,
-    build: impl Fn(&[K]) -> Result<T, BuildError> + Sync,
-) -> Result<ChunkedBuild<K, T>, BuildError> {
-    if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
-        return Err(BuildError::UnsortedKeys {
-            position: position + 1,
-        });
-    }
-    let (router, bounds) = ShardRouter::partition(keys, shards);
-    let chunks: Vec<&[K]> = bounds.windows(2).map(|w| &keys[w[0]..w[1]]).collect();
-    let mut built: Vec<T> = Vec::with_capacity(chunks.len());
-    let build = &build;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&chunk| scope.spawn(move || build(chunk)))
-            .collect();
-        for h in handles {
-            built.push(h.join().expect("shard build worker panicked")?); // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
-        }
-        Ok::<(), BuildError>(())
-    })?;
-    Ok((router, bounds[..bounds.len() - 1].to_vec(), built))
-}
-
-/// Shared batched-read path of both sharded types: bucket the queries by
+/// The batched-read path of a [`StoreSnapshot`]: bucket the queries by
 /// shard, resolve each bucket through `per_shard` (one stage-blocked batch
 /// call per shard) and scatter the results back with the shard's global
-/// offset applied.
+/// offset applied — per-shard stage blocking is preserved instead of
+/// ping-ponging between shards.
 pub(crate) fn dispatch_batch_by_shard<K: Key>(
     router: &ShardRouter<K>,
     shard_count: usize,
@@ -118,104 +81,6 @@ pub(crate) fn dispatch_batch_by_shard<K: Key>(
         for (&i, &pos) in bucket.iter().zip(shard_out.iter()) {
             out[i] = offsets[s] + pos;
         }
-    }
-}
-
-/// A read-only range index partitioned across shards by fence keys.
-///
-/// Each shard is an independently built [`DynRangeIndex`] over its chunk of
-/// the key column; a lookup touches the tiny router plus exactly one shard.
-/// Global positions are shard-local positions plus the shard's fixed offset.
-pub struct ShardedIndex<K: Key> {
-    router: ShardRouter<K>,
-    /// Cumulative key count before each shard (`offsets[i]` is the global
-    /// position of shard `i`'s first key).
-    offsets: Vec<usize>,
-    shards: Vec<DynRangeIndex<K>>,
-    total: usize,
-    spec: IndexSpec,
-}
-
-impl<K: Key> ShardedIndex<K> {
-    /// Build `shards` shard indexes from `spec` over the sorted `keys`.
-    /// Shards are built concurrently with scoped threads (one per shard).
-    ///
-    /// # Errors
-    /// [`BuildError::UnsortedKeys`] if `keys` is not sorted.
-    pub fn build(spec: IndexSpec, keys: &[K], shards: usize) -> Result<Self, BuildError> {
-        // `build_chunked` validated the whole column; each chunk takes the
-        // prevalidated build path rather than re-scanning.
-        let (router, offsets, built) = build_chunked(keys, shards, |chunk| {
-            Ok::<DynRangeIndex<K>, BuildError>(spec.build_dyn_prevalidated_with(
-                Arc::<[K]>::from(chunk),
-                Default::default(),
-                1,
-            ))
-        })?;
-        Ok(Self {
-            router,
-            offsets,
-            shards: built,
-            total: keys.len(),
-            spec,
-        })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The fence keys (first key of each shard).
-    pub fn fences(&self) -> &[K] {
-        self.router.fences()
-    }
-
-    /// The spec every shard was built from.
-    pub fn spec(&self) -> IndexSpec {
-        self.spec
-    }
-}
-
-impl<K: Key> RangeIndex<K> for ShardedIndex<K> {
-    fn lower_bound(&self, q: K) -> usize {
-        let s = self.router.shard_of(q);
-        self.offsets[s] + self.shards[s].lower_bound(q)
-    }
-
-    /// Batched lookups grouped by shard: queries are bucketed through the
-    /// router first, each shard resolves its bucket through its own
-    /// stage-blocked [`RangeIndex::lower_bound_batch`], and results are
-    /// scattered back with the shard offset applied — per-shard stage
-    /// blocking is preserved instead of ping-ponging between shards.
-    fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
-        dispatch_batch_by_shard(
-            &self.router,
-            self.shards.len(),
-            &self.offsets,
-            queries,
-            out,
-            |s, qs, os| self.shards[s].lower_bound_batch(qs, os),
-        );
-    }
-
-    fn len(&self) -> usize {
-        self.total
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        let routing = self.router.fences().len() * K::size_bytes()
-            + self.offsets.len() * std::mem::size_of::<usize>();
-        routing
-            + self
-                .shards
-                .iter()
-                .map(|s| s.index_size_bytes())
-                .sum::<usize>()
-    }
-
-    fn name(&self) -> &'static str {
-        "ShardedIndex"
     }
 }
 
@@ -339,7 +204,7 @@ impl<K: Key> StoreCore<K> {
     /// [`CommitClock::try_read_consistent`]). The returned snapshot is
     /// exact at its commit version and repeatable forever.
     ///
-    /// Liveness: the lock-free seqlock capture is retried a bounded number
+    /// Liveness: the seqlock capture is retried a bounded number
     /// of times; if a write window overlapped every attempt (possible only
     /// under a continuous write storm with fewer cores than threads), the
     /// capture falls back to taking the write gate — writers pause for the
@@ -540,9 +405,9 @@ impl<K: Key> StoreCore<K> {
         let mut actions = 0usize;
         let table = self.load_table();
         // The worker compacts earlier than the writers' inline fold (at
-        // half the configured run bound, as the config documents) so idle
+        // half its run bound) so idle
         // shards converge to short chains without a write having to pay.
-        let worker_trigger = (self.config.compact_runs / 2).max(2);
+        let worker_trigger = COMPACT_RUNS / 2;
         for (s, shard) in table.shards.iter().enumerate() {
             if shard.state().delta().unsealed_run_count() >= worker_trigger {
                 let t0 = self.obs.phase_start();
@@ -890,11 +755,10 @@ impl<K: Key> StoreCore<K> {
         // Build both child indexes off every lock but the topology/rebuild
         // guards; reads and writes to the shard continue meanwhile.
         let spec = shard.spec();
-        let threads = shard.build_threads();
         let epoch = frozen.snapshot().epoch() + 1;
         let (left_index, right_index) = std::thread::scope(|scope| {
-            let l = scope.spawn(|| build_index(&spec, left_keys.clone(), threads));
-            let r = scope.spawn(|| build_index(&spec, right_keys.clone(), threads));
+            let l = scope.spawn(|| build_index(&spec, left_keys.clone()));
+            let r = scope.spawn(|| build_index(&spec, right_keys.clone()));
             (
                 l.join().expect("split build worker panicked"), // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
                 r.join().expect("split build worker panicked"), // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
@@ -908,15 +772,17 @@ impl<K: Key> StoreCore<K> {
         let _write = shard.lock_write();
         let residual = shard.residual_since(&frozen);
         let (left_delta, right_delta) = residual.partition(split_key);
-        let (max_run_len, compact_runs) = shard.chain_tuning();
         // Children start at the parent's commit-version floor so the
         // `applied_cv` stamp stays monotonic across the topology change.
         let parent_cv = shard.state().applied_cv();
         let child = |snap, delta: DeltaChain<K>| {
-            Arc::new(
-                StoreShard::from_parts_at(spec, shard.threshold(), threads, snap, delta, parent_cv)
-                    .with_chain_tuning(max_run_len, compact_runs),
-            )
+            Arc::new(StoreShard::from_parts_at(
+                spec,
+                shard.threshold(),
+                snap,
+                delta,
+                parent_cv,
+            ))
         };
         let left = child(left_snap, left_delta);
         let right = child(right_snap, right_delta);
@@ -968,9 +834,8 @@ impl<K: Key> StoreCore<K> {
         );
         let keys: Arc<[K]> = combined.into();
         let spec = a.spec();
-        let threads = a.build_threads();
         let epoch = frozen_a.snapshot().epoch().max(frozen_b.snapshot().epoch()) + 1;
-        let index = build_index(&spec, keys.clone(), threads);
+        let index = build_index(&spec, keys.clone());
         let snapshot = Arc::new(ShardSnapshot::new(keys, index, epoch));
         // Commit under both write locks (taken in shard order).
         let _write_a = a.lock_write();
@@ -978,12 +843,14 @@ impl<K: Key> StoreCore<K> {
         let residual = a
             .residual_since(&frozen_a)
             .concat(&b.residual_since(&frozen_b));
-        let (max_run_len, compact_runs) = a.chain_tuning();
         let parent_cv = a.state().applied_cv().max(b.state().applied_cv());
-        let child = Arc::new(
-            StoreShard::from_parts_at(spec, a.threshold(), threads, snapshot, residual, parent_cv)
-                .with_chain_tuning(max_run_len, compact_runs),
-        );
+        let child = Arc::new(StoreShard::from_parts_at(
+            spec,
+            a.threshold(),
+            snapshot,
+            residual,
+            parent_cv,
+        ));
         let mut shards = table.shards.clone();
         shards.splice(s..=s + 1, [child]);
         let mut fences = table.router.fences().to_vec();
@@ -1246,21 +1113,36 @@ impl<K: Key> ShardedStore<K> {
         Ok(store)
     }
 
-    /// Shared constructor: chunk the validated column and build one shard
-    /// per chunk (`build_chunked` validated the whole column; each chunk
-    /// takes the prevalidated shard constructor rather than re-scanning).
+    /// Shared constructor: validate sortedness once, partition into
+    /// duplicate-run-aligned chunks, and build one shard per chunk with
+    /// scoped worker threads (each chunk takes the prevalidated shard
+    /// constructor rather than re-scanning).
     fn table_from_keys(config: &StoreConfig, keys: &[K]) -> Result<StoreTable<K>, BuildError> {
-        let (router, _offsets, shards) = build_chunked(keys, config.shards, |chunk| {
-            Ok::<_, BuildError>(Arc::new(
-                StoreShard::build_prevalidated(
-                    config.spec,
-                    Arc::<[K]>::from(chunk),
-                    config.delta_threshold,
-                    config.build_threads,
-                )
-                .with_chain_tuning(config.max_run_len, config.compact_runs),
-            ))
-        })?;
+        if let Some(position) = keys.windows(2).position(|w| w[0] > w[1]) {
+            return Err(BuildError::UnsortedKeys {
+                position: position + 1,
+            });
+        }
+        let (router, bounds) = ShardRouter::partition(keys, config.shards);
+        let shards = std::thread::scope(|scope| {
+            let handles: Vec<_> = bounds
+                .windows(2)
+                .map(|w| {
+                    let chunk = &keys[w[0]..w[1]];
+                    scope.spawn(move || {
+                        Arc::new(StoreShard::build_prevalidated(
+                            config.spec,
+                            Arc::<[K]>::from(chunk),
+                            config.delta_threshold,
+                        ))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard build worker panicked")) // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure
+                .collect()
+        });
         Ok(StoreTable { router, shards })
     }
 
@@ -1335,11 +1217,14 @@ impl<K: Key> ShardedStore<K> {
     /// commit clock. Every read evaluated on the snapshot — scalar, batch,
     /// range, count, scan — is exact at [`StoreSnapshot::version`] and
     /// repeatable forever, no matter how many writers, rebuilds, splits or
-    /// merges race the caller. On the happy path acquisition is a lock-free
-    /// capture that never blocks writers; only when a continuous write
-    /// storm outlasts the bounded retries does it briefly gate new writes
-    /// out (for the microseconds one pin sweep takes) to guarantee
-    /// progress. Holding a snapshot only pins memory.
+    /// merges race the caller. Acquisition locks the pin-cache `Mutex`
+    /// (reusing the cached cut while no write has happened since it was
+    /// pinned); a miss re-pins the table and every shard, each `Arc` load
+    /// taking one [`EpochCell`] `RwLock` read guard. On the happy path it
+    /// never blocks writers; only when a continuous write storm outlasts
+    /// the bounded retries does it briefly gate new writes out (for the
+    /// microseconds one pin sweep takes) to guarantee progress. No lock is
+    /// held after acquisition; holding a snapshot only pins memory.
     ///
     /// The store's own read methods are thin one-shot delegations to a
     /// fresh snapshot; take an explicit one whenever two reads must agree.
@@ -2073,7 +1958,7 @@ impl<K: Key> RangeIndex<K> for ShardedStore<K> {
     }
 
     /// Batched merged lookups, grouped by shard (see
-    /// [`ShardedIndex::lower_bound_batch`]), resolved entirely against one
+    /// [`StoreSnapshot::lower_bound_batch`]), resolved entirely against one
     /// pinned snapshot: exact even while writes race the batch.
     fn lower_bound_batch(&self, queries: &[K], out: &mut [usize]) {
         self.core.snapshot().lower_bound_batch(queries, out);
@@ -2106,17 +1991,23 @@ impl<K: Key> RangeIndex<K> for ShardedStore<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use algo_index::search::DynRangeIndex;
+    use shift_table::spec::IndexSpec;
     use sosd_data::prelude::*;
 
     fn spec() -> IndexSpec {
         IndexSpec::parse("im+r1").unwrap()
     }
 
+    /// A write-free store's snapshot is the read-only sharded index.
     #[test]
     fn sharded_index_matches_reference_on_every_workload() {
         let d: Dataset<u64> = SosdName::Face64.generate(12_000, 3);
         for shards in [1usize, 4, 13] {
-            let index = ShardedIndex::build(spec(), d.as_slice(), shards).unwrap();
+            let config = StoreConfig::new(spec()).shards(shards);
+            let index = ShardedStore::build(config, d.as_slice())
+                .unwrap()
+                .snapshot();
             assert!(index.shard_count() <= shards.max(1));
             assert_eq!(index.len(), d.len());
             for w in [
@@ -2143,12 +2034,17 @@ mod tests {
     fn sharded_index_is_send_sync_and_boxable() {
         fn assert_owned<T: Send + Sync + 'static>(_: &T) {}
         let keys: Vec<u64> = (0..5_000u64).map(|i| i * 3).collect();
-        let index = ShardedIndex::build(spec(), &keys, 4).unwrap();
+        let store = ShardedStore::build(StoreConfig::new(spec()).shards(4), &keys).unwrap();
+        let index = store.snapshot();
+        assert_owned(&store);
         assert_owned(&index);
         let boxed: DynRangeIndex<u64> = Box::new(index);
         assert_eq!(boxed.lower_bound(300), 100);
-        assert_eq!(boxed.name(), "ShardedIndex");
+        assert_eq!(boxed.name(), "StoreSnapshot");
         assert!(boxed.index_size_bytes() > 0);
+        let boxed: DynRangeIndex<u64> = Box::new(store);
+        assert_eq!(boxed.lower_bound(300), 100);
+        assert_eq!(boxed.name(), "ShardedStore");
     }
 
     #[test]

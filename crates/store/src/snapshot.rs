@@ -11,13 +11,19 @@
 //! from the same immutable cut no matter how many writers, rebuilds, splits
 //! or merges race the caller.
 //!
-//! Acquiring a snapshot holds no lock while reading and, on the happy
-//! path, never blocks writers: it is a seqlock-guarded sweep of `Arc`
-//! loads (retried while a write is mid-publication), after which
-//! everything is pure probes over immutable state. A capture starved by a
-//! continuous write storm falls back to briefly gating new writes out, so
-//! progress is guaranteed either way. Holding a snapshot only pins memory
-//! — old epochs stay alive until the last snapshot referencing them drops.
+//! Acquiring a snapshot takes short locks and, on the happy path, never
+//! blocks writers. It first locks the store's pin-cache `Mutex`: while no
+//! write has happened since the cached cut was pinned, that cut is reused
+//! and the cache lock is the only lock taken. Otherwise it runs a
+//! seqlock-guarded sweep of `Arc` loads (retried while a write is
+//! mid-publication), each load taking one
+//! [`EpochCell`](crate::epoch::EpochCell) `RwLock` read guard for the
+//! length of a reference-count bump. A capture starved by a continuous
+//! write storm falls back to briefly gating new writes out, so progress is
+//! guaranteed either way. No lock is held after acquisition: every read
+//! is then pure probes over immutable state. Holding a snapshot only pins
+//! memory — old epochs stay alive until the last snapshot referencing them
+//! drops.
 //!
 //! [`ShardedStore`](crate::ShardedStore)'s own read methods are one-shot
 //! conveniences that pin a fresh snapshot per call; take an explicit

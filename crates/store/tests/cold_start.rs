@@ -1,7 +1,8 @@
 //! Snapshot-format-v2 acceptance tests: incremental checkpoints (clean
 //! shards skipped, bytes reused, cross-restart memo), streaming cold-start
 //! opens (cold reads equal hot reads, hydration converges), block-confined
-//! corruption detection, v1 backward compatibility, and online WAL repair.
+//! corruption detection, rejection of the retired v1 format, and online
+//! WAL repair.
 
 use algo_index::RangeIndex;
 use shift_store::persist::{manifest, snapshot, wal};
@@ -321,67 +322,48 @@ fn v2_corruption_and_truncation_are_typed_and_name_the_file() {
     assert_eq!(store.len(), base.len());
 }
 
-/// A PR-4-era directory — v1 snapshots plus a hand-written v1 manifest —
-/// recovers unchanged, and the next incremental checkpoint re-references
-/// the v1 files rather than rewriting them.
+/// The monolithic v1 snapshot format is no longer read: a directory whose
+/// only manifest names a well-formed v1 file fails to open with a typed
+/// `Corrupt` error naming that file, eagerly and cold, and never panics.
 #[test]
-fn v1_snapshot_directories_recover_and_are_re_referenced() {
-    let dir = scratch("v1-compat");
+fn v1_snapshot_directories_fail_to_open_with_a_typed_error() {
+    let dir = scratch("v1-rejected");
     std::fs::create_dir_all(&dir).unwrap();
-    let shard0: Vec<u64> = (0..400u64).map(|i| i * 2).collect();
-    let shard1: Vec<u64> = (1_000..1_400u64).collect();
-    snapshot::write_snapshot(&dir.join(snapshot::snapshot_name(1, 0)), 5, &shard0).unwrap();
-    snapshot::write_snapshot(&dir.join(snapshot::snapshot_name(1, 1)), 5, &shard1).unwrap();
+    // A v1 image, byte for byte: magic (the v2 magic with version digit 1),
+    // body CRC32, body length, then applied │ key_bits │ count │ keys.
+    let keys: Vec<u64> = (0..400u64).map(|i| i * 2).collect();
+    let mut body = Vec::new();
+    body.extend_from_slice(&5u64.to_le_bytes());
+    body.extend_from_slice(&64u32.to_le_bytes());
+    body.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+    for k in &keys {
+        body.extend_from_slice(&k.to_le_bytes());
+    }
+    let mut magic = shift_store::persist::v2::MAGIC;
+    magic[7] = b'1';
+    let mut image = magic.to_vec();
+    image.extend_from_slice(&shift_store::persist::crc32(&body).to_le_bytes());
+    image.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    image.extend_from_slice(&body);
+    let snap = dir.join(snapshot::snapshot_name(1, 0));
+    std::fs::write(&snap, &image).unwrap();
     let text = format!(
-        "shift-store-manifest 1\nseq 1\nversion 5\nspec im+r1\nfences 2\nfence 0\nfence 1000\n\
-         shards 2\nshard {} 5\nshard {} 5\nend\n",
+        "shift-store-manifest 1\nseq 1\nversion 5\nspec im+r1\nfences 1\nfence 0\n\
+         shards 1\nshard {} 5\nend\n",
         snapshot::snapshot_name(1, 0),
-        snapshot::snapshot_name(1, 1),
     );
     std::fs::write(dir.join(manifest::manifest_name(1)), text).unwrap();
 
-    let expected_len = shard0.len() + shard1.len();
-    let check_reads = |store: &ShardedStore<u64>, tag: &str| {
-        assert_eq!(store.len(), expected_len, "{tag}");
-        assert_eq!(store.lower_bound(0), 0, "{tag}");
-        assert_eq!(store.lower_bound(799), 400, "{tag}");
-        assert_eq!(store.lower_bound(1_200), 600, "{tag}");
-        assert_eq!(store.count_of(1_399), 1, "{tag}");
-        assert_eq!(store.scan(798, 1_001), vec![798, 1_000, 1_001], "{tag}");
-    };
-
     let config = StoreConfig::new(spec()).durability(DurabilityConfig::new().checkpoint_ops(0));
-    let store = ShardedStore::<u64>::open(&dir, config).unwrap();
-    check_reads(&store, "eager v1 recovery");
-
-    // v1 files have no block index: a cold open serves them eagerly.
-    drop(store);
-    let store = ShardedStore::<u64>::open(&dir, config.cold_start(true)).unwrap();
-    assert_eq!(
-        store.cold_shards(),
-        0,
-        "v1 snapshots are never cold-mounted"
-    );
-    assert_eq!(store.open_breakdown().unwrap().cold_shards, 0);
-    check_reads(&store, "cold-config v1 recovery");
-
-    // An incremental checkpoint re-references both v1 files...
-    store.checkpoint().unwrap();
-    let s = store.durability_stats().unwrap();
-    assert_eq!(s.checkpoint_shards_written, 0);
-    assert_eq!(s.checkpoint_shards_skipped, 2);
-    assert!(dir.join(snapshot::snapshot_name(1, 0)).exists());
-
-    // ... and a write to one shard upgrades only that shard to v2.
-    store.insert(3).unwrap();
-    store.checkpoint().unwrap();
-    let s = store.durability_stats().unwrap();
-    assert_eq!(s.checkpoint_shards_written, 1);
-    assert_eq!(s.checkpoint_shards_skipped, 3);
-    drop(store);
-    let store = ShardedStore::<u64>::open(&dir, config).unwrap();
-    assert_eq!(store.len(), expected_len + 1);
-    assert_eq!(store.count_of(3), 1);
+    for cold in [false, true] {
+        match ShardedStore::<u64>::open(&dir, config.cold_start(cold)) {
+            Err(StoreError::Corrupt { path, .. }) => {
+                assert_eq!(path, snap, "cold={cold}: wrong file blamed")
+            }
+            Err(e) => panic!("cold={cold}: wrong error {e}"),
+            Ok(_) => panic!("cold={cold}: a v1 snapshot must not open"),
+        }
+    }
 }
 
 /// Online WAL repair: a poisoned store refuses writes, `repair_wal`

@@ -12,16 +12,16 @@
 //! * [`algo_index`] — the [`algo_index::RangeIndex`] trait (point, batched
 //!   and range lookups) and the algorithmic baselines (binary/interpolation/
 //!   TIP search, B+tree, FAST-style tree, ART, RBS),
-//! * [`shift_store`] — the serving layer: [`shift_store::ShardedIndex`]
-//!   (fence-key router over per-shard indexes) and
-//!   [`shift_store::ShardedStore`] (lock-free reads over epoch-pinned shard
-//!   states — immutable base snapshots plus immutable delta chains — with
-//!   store-wide consistent reads behind [`shift_store::StoreSnapshot`],
-//!   atomic group-committed writes behind [`shift_store::WriteBatch`], a
-//!   background maintenance worker, skew-driven shard rebalancing, and an
-//!   optional durable form: a checksummed write-ahead log with
-//!   epoch-consistent checkpoints and crash recovery behind
-//!   [`shift_store::ShardedStore::open`]),
+//! * [`shift_store`] — the serving layer: [`shift_store::ShardedStore`],
+//!   a fence-key router over epoch-pinned shard states (immutable base
+//!   snapshots plus immutable delta chains). A read pins them under the
+//!   store's pin-cache `Mutex` and one `RwLock` read guard per `Arc` load,
+//!   and holds no lock afterwards. The store adds store-wide consistent
+//!   reads behind [`shift_store::StoreSnapshot`], atomic group-committed
+//!   writes behind [`shift_store::WriteBatch`], a background maintenance
+//!   worker, skew-driven shard rebalancing, and an optional durable form: a
+//!   checksummed write-ahead log with epoch-consistent checkpoints and
+//!   crash recovery behind [`shift_store::ShardedStore::open`],
 //! * [`shift_obs`] — the zero-dependency observability layer the store is
 //!   instrumented with: lock-free counters/gauges/histograms, the bounded
 //!   trace ring, Prometheus-text + JSON export ([`shift_obs::MetricsReport`]
