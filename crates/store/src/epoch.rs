@@ -81,16 +81,15 @@ impl<T> EpochCell<T> {
 /// against each other.
 ///
 /// Why this is safe: commit versions are assigned by the same counter that
-/// tracks begun writes, and each shard applies its writes in commit-version
-/// order (the stamp happens under the shard's write mutex, immediately
-/// before the state publish). If no write was in flight when pinning started
-/// and none began before it finished, every assigned version has been fully
-/// published and nothing newer exists — so "all states as pinned" equals
-/// "all writes `<= begun`". Writers never wait on readers; a reader under a
-/// continuous write storm retries, which is bounded in practice by the
-/// nanosecond-scale begin→end window of a single publication (the loop
-/// yields the CPU after a burst of failed spins so a descheduled writer can
-/// finish its window).
+/// tracks begun writes, and a write publishes every state stamped with its
+/// version before it closes its window. If no write was in flight when
+/// pinning started and none began before it finished, every assigned
+/// version has been fully published and nothing newer exists — so "all
+/// states as pinned" equals "all writes `<= begun`". Writers never wait on
+/// readers; a reader under a continuous write storm retries, which is
+/// bounded in practice by the nanosecond-scale begin→end window of a single
+/// publication (the loop yields the CPU after a burst of failed spins so a
+/// descheduled writer can finish its window).
 #[derive(Debug, Default)]
 pub struct CommitClock {
     /// Writes begun; the counter value *is* the commit-version sequence.
@@ -228,9 +227,11 @@ mod tests {
         assert_eq!(clock.version(), 2);
 
         // Two cells written together under the clock must always be read
-        // as a pair, never half-updated.
-        let a = EpochCell::new(Arc::new(0u64));
-        let b = EpochCell::new(Arc::new(0u64));
+        // as a pair, never half-updated. They start at the clock's current
+        // version, so a reader that pins before the writer's first window
+        // sees a cut that names the last write it holds.
+        let a = EpochCell::new(Arc::new(clock.version()));
+        let b = EpochCell::new(Arc::new(clock.version()));
         std::thread::scope(|scope| {
             let clock = &clock;
             let (a, b) = (&a, &b);

@@ -190,11 +190,14 @@
 //! make up the on-disk format (full layouts in the [`persist`] module and
 //! its submodules):
 //!
-//! * **WAL segments** (`wal-<start-version>.log`): every insert/delete is
-//!   appended as a length-prefixed, CRC32-checksummed record *before* it is
-//!   applied in memory — and a whole [`WriteBatch`] is appended as **one
-//!   multi-op record** (format v2, see [`persist::wal`]) under one
-//!   checksum, so it is durable all-or-nothing. Records carry a
+//! * **WAL segments** (`wal-<start-version>.log`): every write call is
+//!   appended as **one** length-prefixed, CRC32-checksummed record *before*
+//!   it is applied in memory. A single insert or delete is a one-op record
+//!   ([`persist::wal::FRAME_LEN`] bytes); a whole [`WriteBatch`] or
+//!   transaction is one record under one checksum, so it is durable
+//!   all-or-nothing. The writer emits one frame format (see
+//!   [`persist::wal`]); the reader also accepts the single-op frames
+//!   earlier releases wrote, so their directories replay. Records carry a
 //!   monotonically increasing store version, assigned under the store-wide
 //!   WAL lock that also serialises the in-memory apply — so per-shard apply
 //!   order always equals version order. [`SyncPolicy`] controls fsync

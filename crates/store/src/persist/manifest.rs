@@ -34,7 +34,7 @@
 //! against truncation on filesystems that rename non-atomically.
 //!
 //! Versions count WAL *records*, and a multi-op batch record
-//! ([`crate::WriteBatch`], WAL format v2) consumes exactly one — so `cv`
+//! ([`crate::WriteBatch`]) consumes exactly one — so `cv`
 //! can never land in the middle of a batch: a checkpoint's snapshots
 //! contain whole batches, and replay past `cv` re-applies whole batches.
 

@@ -99,13 +99,15 @@ pub mod snapshot;
 pub mod v2;
 pub mod wal;
 
+use crate::batch::BatchOp;
 use crate::config::{DurabilityConfig, SyncPolicy};
 use crate::error::StoreError;
 use shift_obs::{Histogram, Metric, Sampler};
+use sosd_data::key::Key;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use wal::{GroupCommitError, GroupCommitter, WalOp, WalRecord, WalWriter};
+use wal::{GroupCommitError, GroupCommitter, WalWriter};
 
 /// WAL appends pay the sampled latency timer 1-in-this-many times (power of
 /// two so the sampler's mask test stays one AND).
@@ -147,8 +149,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// accounting (see the `store_durable` bench experiment).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// WAL records (frames) appended since the store was opened — a whole
-    /// [`crate::WriteBatch`] is one record.
+    /// WAL records (frames) appended since the store was opened — one per
+    /// write call: a single insert or delete, or a whole
+    /// [`crate::WriteBatch`] or transaction.
     pub wal_records: u64,
     /// Logical operations appended since the store was opened (every op of
     /// a batch counts).
@@ -156,7 +159,9 @@ pub struct DurabilityStats {
     /// `fdatasync` calls issued against the WAL since the store was opened
     /// — under group commit, concurrent writers share them.
     pub wal_syncs: u64,
-    /// Bytes appended to the WAL since the store was opened.
+    /// Bytes appended to the WAL since the store was opened: a record of
+    /// `n` ops is a `21 + 9·n`-byte frame, so a single insert or delete
+    /// costs [`wal::FRAME_LEN`] (30) bytes.
     pub wal_bytes: u64,
     /// Checkpoints taken since the store was opened.
     pub checkpoints: u64,
@@ -290,86 +295,33 @@ impl Persistence {
         self.durability
     }
 
-    /// Assign the next store version, append the record to the WAL
-    /// (honouring the sync policy) and run `apply` — the in-memory write —
-    /// **while still holding the WAL lock**. Holding the lock across the
-    /// apply is what makes per-shard apply order equal version order, the
-    /// invariant replay and the checkpoint cut both lean on.
+    /// The one durable write path: run `validate`, assign the next store
+    /// version, append `ops` to the WAL as one record (honouring the sync
+    /// policy) and run `apply` — the in-memory write — **all while holding
+    /// the WAL lock**. Holding the lock across the apply is what makes
+    /// per-shard apply order equal version order, the invariant replay and
+    /// the checkpoint cut both lean on. A single insert or delete is a
+    /// one-op record; a [`crate::WriteBatch`] or transaction is one record
+    /// for all its ops, so a checkpoint cut always contains whole batches.
+    ///
+    /// Holding the lock also makes the commit clock quiescent while
+    /// `validate` runs — no other durable write can be mid-publication — so
+    /// a transaction's read-set check here sees exactly the committed state
+    /// it would serialize after. When `validate` fails, no frame is
+    /// appended and no version is consumed: a conflicting transaction
+    /// leaves no trace in the log. Plain writes pass a validate that always
+    /// succeeds.
     ///
     /// Under group commit ([`SyncPolicy::Always`] with
     /// [`DurabilityConfig::group_commit`]), the durability wait happens
     /// *after* the lock is released, so concurrent writers share one
     /// `fdatasync`; the call still only returns once this record is durable
     /// (or the sync failed, poisoning the writer).
-    pub(crate) fn append<R>(
+    pub(crate) fn append<K: Key, R>(
         &self,
-        op: WalOp,
-        key: u64,
-        apply: impl FnOnce(u64) -> R,
-    ) -> Result<R, StoreError> {
-        let timer = self.append_sampler.start();
-        let (result, ticket) = {
-            let mut inner = self.inner.lock().expect("wal lock poisoned"); // lint: allow(panic) WAL-lock poisoning means a writer died mid-frame; no sound continuation
-            if inner.wal.is_poisoned() {
-                return Err(StoreError::WalPoisoned);
-            }
-            let version = inner.next_version;
-            let bytes = inner.wal.append(&WalRecord { version, op, key })?;
-            inner.next_version += 1;
-            inner.since_checkpoint += 1;
-            self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_ops.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
-        };
-        timer.finish(&self.wal_append_ns);
-        self.group_commit(ticket)?;
-        Ok(result)
-    }
-
-    /// [`Persistence::append`] for a whole [`crate::WriteBatch`]: one
-    /// version, one multi-op frame, one durability wait. The batch is
-    /// applied in memory under the WAL lock, so a checkpoint cut always
-    /// contains whole batches.
-    pub(crate) fn append_batch<R>(
-        &self,
-        ops: &[(WalOp, u64)],
-        apply: impl FnOnce(u64) -> R,
-    ) -> Result<R, StoreError> {
-        let timer = self.append_sampler.start();
-        let (result, ticket) = {
-            let mut inner = self.inner.lock().expect("wal lock poisoned"); // lint: allow(panic) WAL-lock poisoning means a writer died mid-frame; no sound continuation
-            if inner.wal.is_poisoned() {
-                return Err(StoreError::WalPoisoned);
-            }
-            let version = inner.next_version;
-            let bytes = inner.wal.append_batch(version, ops)?;
-            inner.next_version += 1;
-            inner.since_checkpoint += ops.len() as u64;
-            self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_ops.fetch_add(ops.len() as u64, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
-        };
-        timer.finish(&self.wal_append_ns);
-        self.group_commit(ticket)?;
-        Ok(result)
-    }
-
-    /// [`Persistence::append_batch`] with a validation hook run **under the
-    /// WAL lock, before the frame is written**: the transaction-commit path.
-    ///
-    /// Holding the WAL lock across every durable apply means the commit
-    /// clock is quiescent while `validate` runs — no other durable write can
-    /// be mid-publication — so a read-set check here sees exactly the
-    /// committed state the transaction would serialize after. When
-    /// `validate` fails, no frame is appended and no version is consumed:
-    /// a conflicting transaction leaves no trace in the log.
-    pub(crate) fn append_batch_validated<R>(
-        &self,
-        ops: &[(WalOp, u64)],
+        ops: &[BatchOp<K>],
         validate: impl FnOnce() -> Result<(), StoreError>,
-        apply: impl FnOnce(u64) -> R,
+        apply: impl FnOnce() -> R,
     ) -> Result<R, StoreError> {
         let timer = self.append_sampler.start();
         let (result, ticket) = {
@@ -379,13 +331,13 @@ impl Persistence {
             }
             validate()?;
             let version = inner.next_version;
-            let bytes = inner.wal.append_batch(version, ops)?;
+            let bytes = inner.wal.append(version, ops)?;
             inner.next_version += 1;
             inner.since_checkpoint += ops.len() as u64;
             self.wal_records.fetch_add(1, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
             self.wal_ops.fetch_add(ops.len() as u64, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
             self.wal_bytes.fetch_add(bytes, Ordering::Relaxed); // lint: ordering(Relaxed) monotonic stats counter; no synchronising role
-            (apply(version), version)
+            (apply(), version)
         };
         timer.finish(&self.wal_append_ns);
         self.group_commit(ticket)?;

@@ -20,27 +20,29 @@
 //!    off the block index until the background hydrator retrains it. A
 //!    file that is not v2 fails validation like any other corrupt file.
 //! 3. Replay every WAL segment in version order through the recovered
-//!    fence router — editing hot key columns directly, and buffering into
-//!    a cold shard's delta chain (write paths never touch base keys, so a
+//!    fence router into each shard's delta chain, hot or cold, exactly as
+//!    the write path records ops (write paths never touch base keys, so a
 //!    cold base absorbs its tail without decoding). A record at or below
 //!    the routed shard's recovered `applied` floor is skipped — replay is
 //!    idempotent, so both stale segments and records already folded into a
 //!    re-referenced incremental snapshot cost time, never correctness. A
 //!    torn tail ends the log.
-//! 4. Build each hot shard once over its final column, retraining the
-//!    persisted spec in bounded-parallel waves; a cold shard is assembled
-//!    in O(1) from its mounted base plus replayed chain.
+//! 4. Fold each hot shard's chain into its decoded column once and build
+//!    the shard over the result, retraining the persisted spec in
+//!    bounded-parallel waves; a cold shard is assembled in O(1) from its
+//!    mounted base plus replayed chain.
 //!
 //! Recovery also reports *where the time went* ([`OpenBreakdown`]) and
 //! which manifest entries are safe to re-reference at the next incremental
 //! checkpoint (shards whose WAL tail replayed nothing).
 
+use crate::batch::BatchOp;
 use crate::config::StoreConfig;
 use crate::delta::DeltaChain;
 use crate::error::StoreError;
 use crate::persist::manifest::{self, ManifestShard};
 use crate::persist::v2;
-use crate::persist::wal::{self, WalEntry, WalOp};
+use crate::persist::wal;
 use crate::router::ShardRouter;
 use crate::shard::{chain_with_op, ShardSnapshot, StoreShard};
 use shift_table::spec::IndexSpec;
@@ -59,9 +61,10 @@ pub struct OpenBreakdown {
     pub manifest: Duration,
     /// Reading snapshot files: eager decode, or cold mount + checksum sweep.
     pub mount: Duration,
-    /// Scanning and applying the WAL tail.
+    /// Scanning the WAL tail and chaining its ops per shard.
     pub replay: Duration,
-    /// Foreground model retraining (the wave-parallel shard builds).
+    /// Foreground model retraining (the wave-parallel shard builds, which
+    /// first fold each hot shard's replayed chain into its column).
     pub retrain: Duration,
     /// Shards published cold (0 on an eager open): the hydrator's backlog.
     pub cold_shards: usize,
@@ -123,23 +126,32 @@ fn is_checkpoint_debris(e: &StoreError) -> bool {
     }
 }
 
-/// One shard's recovered backing: a decoded (hot) key column that replay
-/// edits in place, or a mounted (cold) v2 base whose replayed tail buffers
-/// into a delta chain.
-enum ShardBacking<K: Key> {
+/// One shard's recovered base: a decoded (hot) key column, or a mounted
+/// (cold) v2 base. Replay never edits either; it buffers into a delta chain
+/// beside the base.
+enum ShardBase<K: Key> {
     Hot(Vec<K>),
-    Cold {
-        base: Arc<v2::ColdBase<K>>,
-        delta: DeltaChain<K>,
-    },
+    Cold(Arc<v2::ColdBase<K>>),
 }
 
-/// A checkpoint loaded from one manifest: router, per-shard backings (not
-/// yet built — replay edits them first, so every hot shard trains its
-/// model exactly once) and the per-shard replay floors.
+impl<K: Key> ShardBase<K> {
+    /// Occurrences of `k` in the base.
+    fn count_of(&self, k: K) -> usize {
+        match self {
+            Self::Hot(column) => {
+                column.partition_point(|&x| x <= k) - column.partition_point(|&x| x < k)
+            }
+            Self::Cold(base) => base.count_of(k),
+        }
+    }
+}
+
+/// A checkpoint loaded from one manifest: router, per-shard bases (not yet
+/// built — replay chains ops beside them first, so every hot shard trains
+/// its model exactly once) and the per-shard replay floors.
 struct LoadedCheckpoint<K: Key> {
     router: ShardRouter<K>,
-    backings: Vec<ShardBacking<K>>,
+    bases: Vec<ShardBase<K>>,
     applied: Vec<u64>,
     entries: Vec<Option<ManifestShard>>,
     spec: IndexSpec,
@@ -182,7 +194,7 @@ fn load_checkpoint<K: Key>(
 
     // lint: allow(timing) cold-start snapshot mount — timed once per reopen
     let mount_start = Instant::now();
-    let mut backings = Vec::with_capacity(m.shards.len());
+    let mut bases = Vec::with_capacity(m.shards.len());
     let mut applied = Vec::with_capacity(m.shards.len());
     for entry in &m.shards {
         let snap_path = dir.join(&entry.snapshot);
@@ -197,17 +209,14 @@ fn load_checkpoint<K: Key>(
                 ),
             });
         }
-        backings.push(if cold {
-            ShardBacking::Cold {
-                base: Arc::new(base),
-                delta: DeltaChain::new(),
-            }
+        bases.push(if cold {
+            ShardBase::Cold(Arc::new(base))
         } else {
-            ShardBacking::Hot(base.decode_all())
+            ShardBase::Hot(base.decode_all())
         });
         applied.push(entry.applied);
     }
-    if backings.is_empty() {
+    if bases.is_empty() {
         return Err(StoreError::Corrupt {
             path: path.to_path_buf(),
             reason: "manifest lists no shards".into(),
@@ -220,7 +229,7 @@ fn load_checkpoint<K: Key>(
         .collect();
     Ok(LoadedCheckpoint {
         router: ShardRouter::from_fences(fences),
-        backings,
+        bases,
         applied,
         entries: m.shards.into_iter().map(Some).collect(),
         spec,
@@ -256,7 +265,7 @@ pub(crate) fn recover<K: Key>(
         (None, None) => LoadedCheckpoint {
             // Fresh directory (or WAL-only): one empty shard, config spec.
             router: ShardRouter::from_fences(Vec::new()),
-            backings: vec![ShardBacking::Hot(Vec::new())],
+            bases: vec![ShardBase::Hot(Vec::new())],
             applied: vec![0],
             entries: vec![None],
             spec: config.spec,
@@ -267,74 +276,38 @@ pub(crate) fn recover<K: Key>(
         },
     };
 
-    // 2./3. Replay the WAL tail in version order, idempotently — applied
-    // straight into hot key columns (store delete semantics: one occurrence
-    // removed when present, else a no-op) and buffered into cold shards'
-    // delta chains, so the expensive model training below happens at most
-    // once per shard, replayed-into or not. A batch entry replays all of
-    // its operations under its single version — and a torn batch frame was
-    // already dropped whole by the segment scan, so a batch is never
-    // half-recovered. A replayed-into shard loses its re-reference memo:
-    // its merged view moved past the snapshot on disk.
+    // 2./3. Replay the WAL tail in version order, idempotently, into one
+    // delta chain per shard — the chain shape every writer shares, with the
+    // store's delete semantics (one occurrence removed when the merged view
+    // holds one, else a no-op) — so the expensive model training below
+    // happens at most once per shard, replayed-into or not. A record
+    // replays all of its operations under its single version — and a torn
+    // frame was already dropped whole by the segment scan, so a batch is
+    // never half-recovered. A replayed-into shard loses its re-reference
+    // memo: its merged view moved past the snapshot on disk.
     // lint: allow(timing) WAL replay is cold; timing the whole pass is the point
     let replay_start = Instant::now();
     let mut next_version = cp.version + 1;
     let mut replayed = 0usize;
-    let apply_one = |cp: &mut LoadedCheckpoint<K>, version: u64, op: WalOp, key: u64| {
-        let key = K::from_u64_saturating(key);
-        let s = cp.router.shard_of(key);
-        if version <= cp.applied[s] {
-            return 0usize; // already inside the snapshot: replay is a no-op
-        }
-        let applied = match &mut cp.backings[s] {
-            ShardBacking::Hot(column) => {
-                let pos = column.partition_point(|&x| x < key);
-                match op {
-                    WalOp::Insert => {
-                        column.insert(pos, key);
-                        true
-                    }
-                    WalOp::Delete => {
-                        if column.get(pos) == Some(&key) {
-                            column.remove(pos);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                }
-            }
-            ShardBacking::Cold { base, delta } => {
-                let net = match op {
-                    WalOp::Insert => 1,
-                    // A delete applies only when the merged view still
-                    // holds an occurrence — same semantics as the write
-                    // path's count probe.
-                    WalOp::Delete if base.count_of(key) as i64 + delta.net_of(key) > 0 => -1,
-                    WalOp::Delete => 0,
-                };
-                if net != 0 {
-                    *delta = chain_with_op(delta, key, net);
-                }
-                net != 0
-            }
-        };
-        if applied {
-            // The on-disk snapshot no longer matches this shard's merged
-            // view: the next checkpoint must rewrite it.
-            cp.entries[s] = None;
-        }
-        1
-    };
+    let mut chains: Vec<DeltaChain<K>> = cp.bases.iter().map(|_| DeltaChain::new()).collect();
     for (_, segment) in wal::list_segments(dir)? {
-        for entry in wal::read_segment(&segment)?.records {
-            next_version = next_version.max(entry.version() + 1);
-            match entry {
-                WalEntry::Op(r) => replayed += apply_one(&mut cp, r.version, r.op, r.key),
-                WalEntry::Batch(b) => {
-                    for &(op, key) in &b.ops {
-                        replayed += apply_one(&mut cp, b.version, op, key);
-                    }
+        for record in wal::read_segment(&segment)?.records {
+            next_version = next_version.max(record.version + 1);
+            for &op in &record.ops {
+                let (key, net) = match op {
+                    BatchOp::Insert(k) => (K::from_u64_saturating(k), 1),
+                    BatchOp::Delete(k) => (K::from_u64_saturating(k), -1),
+                };
+                let s = cp.router.shard_of(key);
+                if record.version <= cp.applied[s] {
+                    continue; // already inside the snapshot: replay is a no-op
+                }
+                replayed += 1;
+                // A delete applies only when the merged view still holds an
+                // occurrence — the same gate as the write path's count probe.
+                if net > 0 || cp.bases[s].count_of(key) as i64 + chains[s].net_of(key) > 0 {
+                    chains[s] = chain_with_op(&chains[s], key, net);
+                    cp.entries[s] = None;
                 }
             }
         }
@@ -342,27 +315,27 @@ pub(crate) fn recover<K: Key>(
     let replay_time = replay_start.elapsed();
 
     // 4. Assemble the shards. Cold backings are O(1) — mounted base plus
-    // replayed chain, no training. Hot columns build in parallel scoped
-    // threads: model retraining dominates reopen latency for large stores,
-    // and the columns are independent by construction. Concurrency is
-    // capped at the machine's parallelism (a long-lived store's split
-    // cascade can leave hundreds of shards; one OS thread per shard would
-    // oversubscribe the reopen).
+    // replayed chain, no training. Hot columns absorb their chain in one
+    // merge and build in parallel scoped threads: model retraining
+    // dominates reopen latency for large stores, and the columns are
+    // independent by construction. Concurrency is capped at the machine's
+    // parallelism (a long-lived store's split cascade can leave hundreds of
+    // shards; one OS thread per shard would oversubscribe the reopen).
     // lint: allow(timing) reopen retraining is cold; timed once per reopen
     let retrain_start = Instant::now();
     let spec = cp.spec;
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let shard_count = cp.backings.len();
+    let shard_count = cp.bases.len();
     let mut cold_shards = 0usize;
     let mut slots: Vec<Option<Arc<StoreShard<K>>>> = Vec::with_capacity(shard_count);
     slots.resize_with(shard_count, || None);
-    let mut hot: Vec<(usize, Vec<K>)> = Vec::new();
-    for (i, backing) in cp.backings.into_iter().enumerate() {
-        match backing {
-            ShardBacking::Hot(column) => hot.push((i, column)),
-            ShardBacking::Cold { base, delta } => {
+    let mut hot: Vec<(usize, Vec<K>, DeltaChain<K>)> = Vec::new();
+    for (i, (base, delta)) in cp.bases.into_iter().zip(chains).enumerate() {
+        match base {
+            ShardBase::Hot(column) => hot.push((i, column, delta)),
+            ShardBase::Cold(base) => {
                 cold_shards += 1;
                 slots[i] = Some(Arc::new(StoreShard::from_parts_at(
                     spec,
@@ -376,11 +349,20 @@ pub(crate) fn recover<K: Key>(
     }
     let mut hot = hot.into_iter().peekable();
     while hot.peek().is_some() {
-        let wave: Vec<(usize, Vec<K>)> = hot.by_ref().take(workers).collect();
+        let wave: Vec<(usize, Vec<K>, DeltaChain<K>)> = hot.by_ref().take(workers).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = wave
                 .into_iter()
-                .map(|(i, column)| scope.spawn(move || (i, recovered_shard(config, spec, column))))
+                .map(|(i, column, delta)| {
+                    scope.spawn(move || {
+                        let column = if delta.is_clean() {
+                            column
+                        } else {
+                            delta.merge_into(&column)
+                        };
+                        (i, recovered_shard(config, spec, column))
+                    })
+                })
                 .collect();
             for h in handles {
                 // lint: allow(panic) join fails only when the child panicked; re-raising preserves the failure

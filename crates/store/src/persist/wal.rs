@@ -11,18 +11,8 @@
 //! is started on every store open and on every checkpoint (rotation), and a
 //! segment is deleted once a checkpoint covers all of its records.
 //!
-//! Each record is one frame. A **v1 (single-op)** frame:
-//!
-//! ```text
-//! ┌──────────┬──────────┬───────────────────────────────────────────┐
-//! │ len: u32 │ crc: u32 │ payload (len = 17 bytes)                  │
-//! │  (LE)    │  (LE)    │ version: u64 LE │ op: u8 │ key: u64 LE    │
-//! └──────────┴──────────┴───────────────────────────────────────────┘
-//! ```
-//!
-//! A **v2 (multi-op batch)** frame — what [`crate::WriteBatch`] appends —
-//! shares the outer framing and is discriminated by the tag byte where a v1
-//! frame keeps its op:
+//! Each record is one frame, whatever it carries — a single insert or
+//! delete, a whole [`crate::WriteBatch`], or a transaction commit:
 //!
 //! ```text
 //! ┌──────────┬──────────┬────────────────────────────────────────────────────────┐
@@ -32,10 +22,17 @@
 //! ```
 //!
 //! `crc` is the CRC32 (IEEE) of the payload. `op` is `0` for an insert,
-//! `1` for a delete tombstone; tag `2` marks a batch. Keys are widened to
-//! `u64` on disk regardless of the store's key width. Because a batch is
-//! one frame under one checksum, it is durable **all-or-nothing**: a crash
-//! can never persist a prefix of a batch.
+//! `1` for a delete tombstone. Keys are widened to `u64` on disk regardless
+//! of the store's key width. A single insert or delete is a frame with
+//! `n = 1` ([`FRAME_LEN`] = 30 bytes). Because a record is one frame under
+//! one checksum, a batch is durable **all-or-nothing**: a crash can never
+//! persist a prefix of it.
+//!
+//! Earlier releases wrote single writes as a 25-byte frame whose 17-byte
+//! payload is `version: u64 │ op: u8 │ key: u64` (the op byte sits where
+//! the tag is). The reader still accepts that payload and decodes it into
+//! the same one-op record, so directories written before the switch replay
+//! unchanged; the writer never emits it.
 //!
 //! A reader stops at the first frame that is short, has an inconsistent
 //! length, carries an unknown tag, or fails its checksum: that is the torn
@@ -55,173 +52,107 @@
 //! leader's single sync, so `w` concurrent writers pay ~2 syncs per wave
 //! instead of `w`.
 
+use crate::batch::BatchOp;
 use crate::config::SyncPolicy;
 use crate::persist::crc32;
+use sosd_data::key::Key;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-/// Payload bytes of a v1 record: version (8) + op (1) + key (8).
-pub const PAYLOAD_LEN: usize = 17;
-/// Total frame bytes of a v1 record: len (4) + crc (4) + payload.
-pub const FRAME_LEN: usize = 8 + PAYLOAD_LEN;
-/// Payload tag byte marking a v2 multi-op batch record.
+/// Payload tag byte of a record (the only tag the writer emits).
 pub const BATCH_TAG: u8 = 2;
-/// Payload bytes of a v2 batch record holding `n` operations.
-pub const fn batch_payload_len(n: usize) -> usize {
+/// Payload bytes of a record holding `n` operations.
+pub const fn payload_len(n: usize) -> usize {
     8 + 1 + 4 + 9 * n
 }
+/// Total frame bytes of a one-op record (a single insert or delete):
+/// len (4) + crc (4) + payload.
+pub const FRAME_LEN: usize = 8 + payload_len(1);
+/// Payload bytes of the single-op record earlier releases wrote: version
+/// (8) + op (1) + key (8). Read, never written.
+const V1_PAYLOAD_LEN: usize = 17;
 
-/// The operation a WAL record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
-    /// One inserted occurrence of the key.
-    Insert,
-    /// One deleted occurrence of the key (a no-op if absent at replay).
-    Delete,
-}
-
-/// One decoded WAL record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalRecord {
-    /// The monotonic store version assigned to this write.
-    pub version: u64,
-    /// Insert or delete.
-    pub op: WalOp,
-    /// The key, widened to `u64`.
-    pub key: u64,
-}
-
-impl WalRecord {
-    /// Encode the record as one complete frame, on the stack — the
-    /// single-op append path runs under the store-wide WAL lock for every
-    /// durable write, so it must not allocate.
-    fn encode_frame(&self) -> [u8; FRAME_LEN] {
-        let mut payload = [0u8; PAYLOAD_LEN];
-        payload[..8].copy_from_slice(&self.version.to_le_bytes());
-        payload[8] = op_byte(self.op);
-        payload[9..17].copy_from_slice(&self.key.to_le_bytes());
-        let mut frame = [0u8; FRAME_LEN];
-        frame[..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        frame[8..].copy_from_slice(&payload);
-        frame
-    }
-}
-
-/// One decoded multi-op (v2) WAL record: every operation of one applied
-/// [`crate::WriteBatch`], under a single version and a single checksum.
+/// One decoded WAL record: every operation of one write call — a single
+/// insert or delete, an applied [`crate::WriteBatch`] or a committed
+/// transaction — under a single version and a single checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalBatchRecord {
-    /// The monotonic store version assigned to the whole batch.
+    /// The monotonic store version assigned to the whole record.
     pub version: u64,
-    /// The batch's operations, in application order, keys widened to `u64`.
-    pub ops: Vec<(WalOp, u64)>,
+    /// The record's operations, in application order, keys widened to `u64`.
+    pub ops: Vec<BatchOp<u64>>,
 }
 
-/// Encode a batch payload from borrowed ops (the append path passes the
-/// caller's staged slice straight through — no intermediate record value).
-fn encode_batch_payload(version: u64, ops: &[(WalOp, u64)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(batch_payload_len(ops.len()));
-    payload.extend_from_slice(&version.to_le_bytes());
-    payload.push(BATCH_TAG);
-    payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for &(op, key) in ops {
-        payload.push(op_byte(op));
-        payload.extend_from_slice(&key.to_le_bytes());
-    }
-    payload
-}
-
-/// One decoded WAL entry: a single-op record or a multi-op batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalEntry {
-    /// A v1 single-operation record.
-    Op(WalRecord),
-    /// A v2 multi-operation batch record.
-    Batch(WalBatchRecord),
-}
-
-impl WalEntry {
-    /// The store version the entry carries.
-    pub fn version(&self) -> u64 {
-        match self {
-            Self::Op(r) => r.version,
-            Self::Batch(b) => b.version,
-        }
-    }
-
-    /// Number of logical operations the entry carries.
+impl WalBatchRecord {
+    /// Number of logical operations the record carries.
     pub fn op_count(&self) -> usize {
-        match self {
-            Self::Op(_) => 1,
-            Self::Batch(b) => b.ops.len(),
-        }
+        self.ops.len()
     }
 }
 
-fn op_byte(op: WalOp) -> u8 {
-    match op {
-        WalOp::Insert => 0,
-        WalOp::Delete => 1,
+/// Encode one complete frame for `ops` under `version` into `frame`
+/// (cleared first; its capacity is reused across appends).
+fn encode_frame<K: Key>(frame: &mut Vec<u8>, version: u64, ops: &[BatchOp<K>]) {
+    frame.clear();
+    frame.extend_from_slice(&(payload_len(ops.len()) as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]); // the CRC, filled in below
+    frame.extend_from_slice(&version.to_le_bytes());
+    frame.push(BATCH_TAG);
+    frame.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    for op in ops {
+        let (byte, key) = match *op {
+            BatchOp::Insert(k) => (0, k.to_u64()),
+            BatchOp::Delete(k) => (1, k.to_u64()),
+        };
+        frame.push(byte);
+        frame.extend_from_slice(&key.to_le_bytes());
     }
+    let crc = crc32(&frame[8..]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn byte_op(b: u8) -> Option<WalOp> {
-    match b {
-        0 => Some(WalOp::Insert),
-        1 => Some(WalOp::Delete),
+/// Decode one `(op, key)` pair; `None` for an unknown op byte.
+fn decode_op(bytes: &[u8]) -> Option<BatchOp<u64>> {
+    // lint: allow(panic) callers pass exactly 9 bytes (chunks_exact(9) or the 17-byte v1 length check); try_into cannot fail
+    let key = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
+    match bytes[0] {
+        0 => Some(BatchOp::Insert(key)),
+        1 => Some(BatchOp::Delete(key)),
         _ => None,
     }
 }
 
-/// Frame a payload: length prefix, CRC32, body.
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
-/// Decode one length- and CRC-validated payload into an entry. `None`
+/// Decode one length- and CRC-validated payload into a record. `None`
 /// means an unknown shape (treated as a torn tail by the reader).
-fn decode_payload(payload: &[u8]) -> Option<WalEntry> {
+fn decode_payload(payload: &[u8]) -> Option<WalBatchRecord> {
     if payload.len() < 9 {
         return None;
     }
     // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
     let version = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    match payload[8] {
+    let ops = match payload[8] {
         BATCH_TAG => {
-            if payload.len() < batch_payload_len(0) {
+            if payload.len() < payload_len(0) {
                 return None;
             }
             // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
             let count = u32::from_le_bytes(payload[9..13].try_into().expect("4 bytes")) as usize;
-            if count == 0 || payload.len() != batch_payload_len(count) {
+            if count == 0 || payload.len() != payload_len(count) {
                 return None;
             }
-            let mut ops = Vec::with_capacity(count);
-            for chunk in payload[13..].chunks_exact(9) {
-                let op = byte_op(chunk[0])?;
-                ops.push((
-                    op,
-                    // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-                    u64::from_le_bytes(chunk[1..9].try_into().expect("8 bytes")),
-                ));
-            }
-            Some(WalEntry::Batch(WalBatchRecord { version, ops }))
+            payload[13..]
+                .chunks_exact(9)
+                .map(decode_op)
+                .collect::<Option<Vec<_>>>()?
         }
-        b if payload.len() == PAYLOAD_LEN => Some(WalEntry::Op(WalRecord {
-            version,
-            op: byte_op(b)?,
-            // lint: allow(panic) slice length is fixed by the bounds check/slicing above; try_into cannot fail
-            key: u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes")),
-        })),
-        _ => None,
-    }
+        // A single-op payload from an earlier release: its op byte sits
+        // where the tag is.
+        _ if payload.len() == V1_PAYLOAD_LEN => vec![decode_op(&payload[8..])?],
+        _ => return None,
+    };
+    Some(WalBatchRecord { version, ops })
 }
 
 /// File name of the segment whose first record carries `start`.
@@ -254,14 +185,13 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// The decoded contents of one segment scan.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScan {
-    /// The validated entries (single-op records and batches), in append
-    /// (= version) order.
-    pub records: Vec<WalEntry>,
-    /// Byte offset of the end of each validated entry — `boundaries[i]` is
-    /// where entry `i`'s frame ends, so truncating the file there keeps
-    /// exactly the first `i + 1` entries (crash-point tests lean on this).
+    /// The validated records, in append (= version) order.
+    pub records: Vec<WalBatchRecord>,
+    /// Byte offset of the end of each validated record — `boundaries[i]` is
+    /// where record `i`'s frame ends, so truncating the file there keeps
+    /// exactly the first `i + 1` records (crash-point tests lean on this).
     pub boundaries: Vec<u64>,
-    /// True when trailing bytes after the last validated entry were
+    /// True when trailing bytes after the last validated record were
     /// discarded (a torn frame, a checksum mismatch, or garbage).
     pub torn_tail: bool,
 }
@@ -287,11 +217,11 @@ pub fn read_segment(path: &Path) -> std::io::Result<SegmentScan> {
         if crc32(payload) != crc {
             break;
         }
-        let Some(entry) = decode_payload(payload) else {
+        let Some(record) = decode_payload(payload) else {
             break; // unknown record shape: treat as torn
         };
         at += 8 + len;
-        scan.records.push(entry);
+        scan.records.push(record);
         scan.boundaries.push(at as u64);
     }
     scan.torn_tail = at < bytes.len();
@@ -324,6 +254,8 @@ pub(crate) struct WalWriter {
     /// (group) sync failed: the segment tail is in an unknown state, so no
     /// further record may land after it.
     poisoned: bool,
+    /// Encoding buffer reused by every append.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -346,6 +278,7 @@ impl WalWriter {
             syncs: 0,
             len: 0,
             poisoned: false,
+            frame: Vec::new(),
         })
     }
 
@@ -371,27 +304,24 @@ impl WalWriter {
         self.poisoned = true;
     }
 
-    /// Append one single-op record and apply the sync policy. Returns the
-    /// bytes written (for write-amplification accounting). The frame is
-    /// encoded on the stack — this path runs once per durable write.
-    pub(crate) fn append(&mut self, record: &WalRecord) -> std::io::Result<u64> {
-        self.append_frame(&record.encode_frame(), 1)
-    }
-
-    /// Append one multi-op batch record and apply the sync policy. The
-    /// whole batch is one frame under one checksum — durable
-    /// all-or-nothing — but it advances the [`SyncPolicy::EveryN`] counter
-    /// by its full operation count, so the documented "lose at most `n − 1`
-    /// acknowledged *writes*" bound holds regardless of batching.
-    pub(crate) fn append_batch(
+    /// Append one record holding `ops` under `version` and apply the sync
+    /// policy. Returns the bytes written (for write-amplification
+    /// accounting). The frame is encoded into the writer's reused buffer,
+    /// so an append allocates nothing once the buffer has grown to the
+    /// largest frame seen. The whole record is one frame under one checksum
+    /// — durable all-or-nothing — but it advances the [`SyncPolicy::EveryN`]
+    /// counter by its full operation count, so the documented "lose at most
+    /// `n − 1` acknowledged *writes*" bound holds regardless of batching.
+    pub(crate) fn append<K: Key>(
         &mut self,
         version: u64,
-        ops: &[(WalOp, u64)],
+        ops: &[BatchOp<K>],
     ) -> std::io::Result<u64> {
-        self.append_frame(
-            &encode_frame(&encode_batch_payload(version, ops)),
-            ops.len().min(u32::MAX as usize) as u32,
-        )
+        let mut frame = std::mem::take(&mut self.frame);
+        encode_frame(&mut frame, version, ops);
+        let result = self.append_frame(&frame, ops.len().min(u32::MAX as usize) as u32);
+        self.frame = frame;
+        result
     }
 
     /// Append one encoded frame carrying `ops` logical operations and apply
@@ -601,22 +531,39 @@ mod tests {
         dir
     }
 
-    fn records(n: u64) -> Vec<WalRecord> {
+    /// `n` one-op records, a delete every third.
+    fn records(n: u64) -> Vec<WalBatchRecord> {
         (0..n)
-            .map(|i| WalRecord {
-                version: i + 1,
-                op: if i % 3 == 0 {
-                    WalOp::Delete
-                } else {
-                    WalOp::Insert
-                },
-                key: i * 977,
+            .map(|i| {
+                let key = i * 977;
+                single(
+                    i + 1,
+                    if i % 3 == 0 {
+                        BatchOp::Delete(key)
+                    } else {
+                        BatchOp::Insert(key)
+                    },
+                )
             })
             .collect()
     }
 
-    fn entries(recs: &[WalRecord]) -> Vec<WalEntry> {
-        recs.iter().map(|&r| WalEntry::Op(r)).collect()
+    fn single(version: u64, op: BatchOp<u64>) -> WalBatchRecord {
+        WalBatchRecord {
+            version,
+            ops: vec![op],
+        }
+    }
+
+    fn append(w: &mut WalWriter, r: &WalBatchRecord) -> u64 {
+        w.append(r.version, &r.ops).unwrap()
+    }
+
+    /// The complete frame the writer emits for `r`.
+    fn frame_of(r: &WalBatchRecord) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, r.version, &r.ops);
+        frame
     }
 
     #[test]
@@ -625,14 +572,14 @@ mod tests {
         let recs = records(20);
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::EveryN(4)).unwrap();
         for r in &recs {
-            assert_eq!(w.append(r).unwrap(), FRAME_LEN as u64);
+            assert_eq!(append(&mut w, r), FRAME_LEN as u64);
         }
         drop(w);
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].0, 1);
         let scan = read_segment(&segments[0].1).unwrap();
-        assert_eq!(scan.records, entries(&recs));
+        assert_eq!(scan.records, recs);
         assert!(!scan.torn_tail);
         assert_eq!(scan.boundaries.len(), 20);
         assert_eq!(*scan.boundaries.last().unwrap(), 20 * FRAME_LEN as u64);
@@ -642,39 +589,21 @@ mod tests {
     #[test]
     fn batch_records_round_trip_interleaved_with_singles() {
         let dir = tmp_dir("batch-roundtrip");
-        let single = WalRecord {
-            version: 1,
-            op: WalOp::Insert,
-            key: 42,
-        };
+        let first = single(1, BatchOp::Insert(42));
         let batch = WalBatchRecord {
             version: 2,
-            ops: vec![(WalOp::Insert, 7), (WalOp::Delete, 42), (WalOp::Insert, 7)],
+            ops: vec![BatchOp::Insert(7), BatchOp::Delete(42), BatchOp::Insert(7)],
         };
-        let tail = WalRecord {
-            version: 3,
-            op: WalOp::Delete,
-            key: 7,
-        };
+        let tail = single(3, BatchOp::Delete(7));
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
-        assert_eq!(w.append(&single).unwrap(), FRAME_LEN as u64);
-        assert_eq!(
-            w.append_batch(batch.version, &batch.ops).unwrap(),
-            (8 + batch_payload_len(3)) as u64
-        );
-        w.append(&tail).unwrap();
+        assert_eq!(append(&mut w, &first), FRAME_LEN as u64);
+        assert_eq!(append(&mut w, &batch), (8 + payload_len(3)) as u64);
+        append(&mut w, &tail);
         drop(w);
         let scan = read_segment(&dir.join(segment_name(1))).unwrap();
         assert!(!scan.torn_tail);
-        assert_eq!(
-            scan.records,
-            vec![
-                WalEntry::Op(single),
-                WalEntry::Batch(batch.clone()),
-                WalEntry::Op(tail),
-            ]
-        );
-        assert_eq!(scan.records[1].version(), 2);
+        assert_eq!(scan.records, vec![first, batch.clone(), tail]);
+        assert_eq!(scan.records[1].version, 2);
         assert_eq!(scan.records[1].op_count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -688,25 +617,20 @@ mod tests {
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::EveryN(64)).unwrap();
         let batch = WalBatchRecord {
             version: 1,
-            ops: (0..64u64).map(|i| (WalOp::Insert, i)).collect(),
+            ops: (0..64u64).map(BatchOp::Insert).collect(),
         };
-        w.append_batch(batch.version, &batch.ops).unwrap();
+        append(&mut w, &batch);
         assert_eq!(w.sync_count(), 1, "64 batched ops hit the n = 64 bound");
         // A small batch leaves the counter partially filled…
         let small = WalBatchRecord {
             version: 2,
-            ops: (0..60u64).map(|i| (WalOp::Delete, i)).collect(),
+            ops: (0..60u64).map(BatchOp::Delete).collect(),
         };
-        w.append_batch(small.version, &small.ops).unwrap();
+        append(&mut w, &small);
         assert_eq!(w.sync_count(), 1);
         // …and singles top it up to the next sync.
         for v in 3..7u64 {
-            w.append(&WalRecord {
-                version: v,
-                op: WalOp::Insert,
-                key: v,
-            })
-            .unwrap();
+            append(&mut w, &single(v, BatchOp::Insert(v)));
         }
         assert_eq!(w.sync_count(), 2, "60 + 4 ops crossed the bound");
         let _ = std::fs::remove_dir_all(&dir);
@@ -715,18 +639,14 @@ mod tests {
     #[test]
     fn torn_batch_records_drop_whole_not_prefix() {
         let dir = tmp_dir("batch-torn");
-        let single = WalRecord {
-            version: 1,
-            op: WalOp::Insert,
-            key: 9,
-        };
+        let first = single(1, BatchOp::Insert(9));
         let batch = WalBatchRecord {
             version: 2,
-            ops: (0..8u64).map(|i| (WalOp::Insert, i * 3)).collect(),
+            ops: (0..8u64).map(|i| BatchOp::Insert(i * 3)).collect(),
         };
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
-        w.append(&single).unwrap();
-        w.append_batch(batch.version, &batch.ops).unwrap();
+        append(&mut w, &first);
+        append(&mut w, &batch);
         drop(w);
         let path = dir.join(segment_name(1));
         let full = std::fs::read(&path).unwrap();
@@ -736,18 +656,20 @@ mod tests {
         for cut in [1usize, 8, 13, 20, full.len() - FRAME_LEN - 1] {
             std::fs::write(&path, &full[..FRAME_LEN + cut]).unwrap();
             let scan = read_segment(&path).unwrap();
-            assert_eq!(scan.records, vec![WalEntry::Op(single)], "cut {cut}");
+            assert_eq!(scan.records, vec![first.clone()], "cut {cut}");
             assert!(scan.torn_tail, "cut {cut}");
         }
 
         // A checksum-valid frame with a lying op count is rejected whole.
-        let mut payload = encode_batch_payload(batch.version, &batch.ops);
-        payload[9] = 7; // count 8 -> 7: length no longer matches
+        let mut lying = frame_of(&batch);
+        lying[8 + 9] = 7; // count 8 -> 7: length no longer matches
+        let crc = crc32(&lying[8..]);
+        lying[4..8].copy_from_slice(&crc.to_le_bytes());
         let mut evil = full[..FRAME_LEN].to_vec();
-        evil.extend_from_slice(&encode_frame(&payload));
+        evil.extend_from_slice(&lying);
         std::fs::write(&path, &evil).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, vec![WalEntry::Op(single)]);
+        assert_eq!(scan.records, vec![first]);
         assert!(scan.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -758,7 +680,7 @@ mod tests {
         let recs = records(10);
         let mut w = WalWriter::create(&dir, 1, SyncPolicy::Os).unwrap();
         for r in &recs {
-            w.append(r).unwrap();
+            append(&mut w, r);
         }
         drop(w);
         let path = dir.join(segment_name(1));
@@ -767,7 +689,7 @@ mod tests {
         // Truncate mid-record: the partial frame is discarded.
         std::fs::write(&path, &full[..4 * FRAME_LEN + 7]).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..4]));
+        assert_eq!(scan.records, recs[..4]);
         assert!(scan.torn_tail);
 
         // Flip one payload byte of record 6: records 0..=5 survive.
@@ -775,21 +697,64 @@ mod tests {
         bent[6 * FRAME_LEN + 12] ^= 0xFF;
         std::fs::write(&path, &bent).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..6]));
+        assert_eq!(scan.records, recs[..6]);
         assert!(scan.torn_tail);
 
         // A bogus op byte is rejected by decode, not just by the CRC: craft
-        // a frame with a valid checksum but op = 9.
-        let mut payload = [0u8; PAYLOAD_LEN];
-        payload[8] = 9;
-        let mut evil = full[..2 * FRAME_LEN].to_vec();
-        evil.extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        evil.extend_from_slice(&crc32(&payload).to_le_bytes());
-        evil.extend_from_slice(&payload);
-        std::fs::write(&path, &evil).unwrap();
+        // a frame with a valid checksum but op = 9, in both the current
+        // payload and the single-op payload earlier releases wrote.
+        let mut current = frame_of(&single(3, BatchOp::Insert(5)));
+        current[8 + 13] = 9;
+        let crc = crc32(&current[8..]);
+        current[4..8].copy_from_slice(&crc.to_le_bytes());
+        let mut v1 = [0u8; V1_PAYLOAD_LEN];
+        v1[8] = 9;
+        let mut v1_frame = (V1_PAYLOAD_LEN as u32).to_le_bytes().to_vec();
+        v1_frame.extend_from_slice(&crc32(&v1).to_le_bytes());
+        v1_frame.extend_from_slice(&v1);
+        for bad in [current, v1_frame] {
+            let mut evil = full[..2 * FRAME_LEN].to_vec();
+            evil.extend_from_slice(&bad);
+            std::fs::write(&path, &evil).unwrap();
+            let scan = read_segment(&path).unwrap();
+            assert_eq!(scan.records, recs[..2]);
+            assert!(scan.torn_tail);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_op_frames_of_earlier_releases_decode_as_one_op_records() {
+        let dir = tmp_dir("v1");
+        let v1_frame = |version: u64, op: u8, key: u64| {
+            let mut payload = version.to_le_bytes().to_vec();
+            payload.push(op);
+            payload.extend_from_slice(&key.to_le_bytes());
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        let mut bytes = v1_frame(1, 0, 42);
+        bytes.extend_from_slice(&v1_frame(2, 1, 42));
+        let batch = WalBatchRecord {
+            version: 3,
+            ops: vec![BatchOp::Insert(5), BatchOp::Delete(6)],
+        };
+        bytes.extend_from_slice(&frame_of(&batch));
+        let path = dir.join(segment_name(1));
+        std::fs::write(&path, &bytes).unwrap();
         let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records, entries(&recs[..2]));
-        assert!(scan.torn_tail);
+        assert!(!scan.torn_tail);
+        assert_eq!(
+            scan.records,
+            vec![
+                single(1, BatchOp::Insert(42)),
+                single(2, BatchOp::Delete(42)),
+                batch,
+            ]
+        );
+        assert_eq!(scan.boundaries, vec![25, 50, bytes.len() as u64]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

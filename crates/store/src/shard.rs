@@ -39,7 +39,7 @@
 //! decoding + retraining off-lock and swapping in a hot epoch.
 
 use crate::delta::DeltaChain;
-use crate::epoch::{CommitClock, EpochCell};
+use crate::epoch::EpochCell;
 use algo_index::search::{DynRangeIndex, RangeIndex};
 use shift_table::error::BuildError;
 use shift_table::spec::IndexSpec;
@@ -156,8 +156,9 @@ impl<K: Key> ShardState<K> {
     }
 
     /// Highest store-wide commit version this state has absorbed (see
-    /// [`CommitClock`]): every write stamped at or below it and routed to
-    /// this shard is contained, and — at a quiescent cut — none above it is.
+    /// [`crate::CommitClock`]): every write stamped at or below it and
+    /// routed to this shard is contained, and — at a quiescent cut — none
+    /// above it is.
     /// 0 for a state that has never absorbed a write.
     pub fn applied_cv(&self) -> u64 {
         self.applied_cv
@@ -452,31 +453,12 @@ impl<K: Key> StoreShard<K> {
         self.state.load().range(lo, hi)
     }
 
-    /// Buffer one inserted occurrence of `k`, stamped against the caller's
-    /// commit clock (the store's, so store-wide snapshots can cut across
-    /// shards). Returns `Some(dirty)` — true when the write made (or left)
-    /// the shard dirty — or `None` when the shard has been retired by a
-    /// split/merge (the caller re-routes). The clock window is opened under
-    /// the shard's write lock, which is what keeps per-shard apply order
-    /// equal to commit-version order.
-    pub(crate) fn try_insert_clocked(&self, k: K, clock: &CommitClock) -> Option<bool> {
-        // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
-        let _w = self.write.lock().expect("write lock poisoned");
-        // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
-        }
-        let cv = clock.begin();
-        let dirty = self.publish_op(k, 1, cv);
-        self.merged_len.fetch_add(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
-        clock.end();
-        Some(dirty)
-    }
-
-    /// Apply one insert that already owns an open clock window (a
-    /// [`crate::WriteBatch`] apply: the store brackets the whole batch in
-    /// one `begin`/`end` and stamps every op with the batch's single commit
-    /// version `cv`).
+    /// Buffer one inserted occurrence of `k`, stamped with commit version
+    /// `cv` — the store opened the clock window and stamps every op of one
+    /// write call (a single insert or delete is a one-op batch) with it.
+    /// Returns `Some(dirty)` — true when the write made (or left) the shard
+    /// dirty — or `None` when the shard has been retired by a split/merge
+    /// (the caller re-routes).
     pub(crate) fn try_insert_at(&self, k: K, cv: u64) -> Option<bool> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -489,31 +471,11 @@ impl<K: Key> StoreShard<K> {
         Some(dirty)
     }
 
-    /// Buffer a tombstone for one occurrence of `k`, stamped against the
-    /// caller's commit clock (see [`StoreShard::try_insert_clocked`]).
-    /// Returns `Some((removed, dirty))`: `removed` is false (and nothing is
+    /// Buffer a tombstone for one occurrence of `k`, stamped with commit
+    /// version `cv` (see [`StoreShard::try_insert_at`]). Returns
+    /// `Some((removed, dirty))`: `removed` is false (and nothing is
     /// recorded) when the merged view holds no occurrence of `k`. `None`
     /// means the shard was retired (the caller re-routes).
-    pub(crate) fn try_delete_clocked(&self, k: K, clock: &CommitClock) -> Option<(bool, bool)> {
-        // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
-        let _w = self.write.lock().expect("write lock poisoned");
-        // lint: ordering(Relaxed) read under the shard write lock, which retire() also holds; the lock orders it
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
-        }
-        let cur = self.state.load();
-        if cur.count_of(k) == 0 {
-            return Some((false, cur.delta.ops() >= self.threshold));
-        }
-        let cv = clock.begin();
-        let dirty = self.publish_op(k, -1, cv);
-        self.merged_len.fetch_sub(1, Ordering::AcqRel); // lint: ordering(AcqRel) release side of len()'s Acquire load: the count stays paired with the state published before it
-        clock.end();
-        Some((true, dirty))
-    }
-
-    /// Apply one delete inside an already-open clock window (see
-    /// [`StoreShard::try_insert_at`]).
     pub(crate) fn try_delete_at(&self, k: K, cv: u64) -> Option<(bool, bool)> {
         // lint: allow(panic) lock poisoning propagates a writer panic; continuing would publish torn state
         let _w = self.write.lock().expect("write lock poisoned");
@@ -762,6 +724,10 @@ mod tests {
         IndexSpec::parse("im+r1").unwrap()
     }
 
+    // Writes below are stamped with commit version 1: a shard only
+    // max-folds the stamp into `applied_cv`, which no test here reads after
+    // a write.
+
     /// A shard over sorted `keys`, built through the store's constructor.
     fn shard_over(keys: Vec<u64>, threshold: usize) -> StoreShard<u64> {
         StoreShard::build_prevalidated(spec(), keys.into(), threshold)
@@ -769,34 +735,32 @@ mod tests {
 
     #[test]
     fn merged_reads_reflect_buffered_writes() {
-        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).map(|i| i * 10).collect();
         let shard = shard_over(keys, 1_000);
         assert_eq!(shard.len(), 100);
         assert_eq!(shard.lower_bound(55), 6);
-        shard.try_insert_clocked(55, &clock).unwrap();
+        shard.try_insert_at(55, 1).unwrap();
         assert_eq!(shard.len(), 101);
         assert_eq!(shard.lower_bound(55), 6);
         assert_eq!(shard.lower_bound(56), 7);
         assert_eq!(shard.count_of(55), 1);
-        let (removed, _) = shard.try_delete_clocked(55, &clock).unwrap();
+        let (removed, _) = shard.try_delete_at(55, 1).unwrap();
         assert!(removed);
         assert_eq!(shard.count_of(55), 0);
-        let (removed, _) = shard.try_delete_clocked(55, &clock).unwrap();
+        let (removed, _) = shard.try_delete_at(55, 1).unwrap();
         assert!(!removed, "deleting an absent key is a no-op");
         assert_eq!(shard.len(), 100);
     }
 
     #[test]
     fn rebuild_folds_the_chain_and_bumps_the_epoch() {
-        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..50u64).map(|i| i * 2).collect();
         let shard = shard_over(keys, 4);
         assert_eq!(shard.snapshot().epoch(), 0);
         assert!(!shard.rebuild().unwrap(), "clean shard does not rebuild");
         let mut dirty = false;
         for k in [1u64, 3, 5, 7, 9] {
-            dirty = shard.try_insert_clocked(k, &clock).unwrap();
+            dirty = shard.try_insert_at(k, 1).unwrap();
         }
         assert!(dirty);
         assert!(shard.is_dirty());
@@ -813,11 +777,10 @@ mod tests {
 
     #[test]
     fn delete_then_rebuild_shrinks_the_base() {
-        let clock = CommitClock::new();
         let keys = vec![5u64, 5, 5, 9];
         let shard = shard_over(keys, 100);
-        assert!(shard.try_delete_clocked(5, &clock).unwrap().0);
-        assert!(shard.try_delete_clocked(5, &clock).unwrap().0);
+        assert!(shard.try_delete_at(5, 1).unwrap().0);
+        assert!(shard.try_delete_at(5, 1).unwrap().0);
         assert_eq!(shard.len(), 2);
         shard.rebuild().unwrap();
         assert_eq!(shard.snapshot().keys(), &[5, 9]);
@@ -826,11 +789,10 @@ mod tests {
 
     #[test]
     fn empty_shard_accepts_writes() {
-        let clock = CommitClock::new();
         let shard = shard_over(Vec::new(), 100);
         assert!(shard.is_empty());
         assert_eq!(shard.lower_bound(7), 0);
-        shard.try_insert_clocked(7, &clock).unwrap();
+        shard.try_insert_at(7, 1).unwrap();
         assert_eq!(shard.len(), 1);
         assert_eq!(shard.lower_bound(7), 0);
         assert_eq!(shard.lower_bound(8), 1);
@@ -840,15 +802,14 @@ mod tests {
 
     #[test]
     fn a_pinned_state_is_immune_to_later_writes_and_rebuilds() {
-        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).collect();
         let shard = shard_over(keys, 4);
-        shard.try_insert_clocked(1_000, &clock).unwrap();
+        shard.try_insert_at(1_000, 1).unwrap();
         let pinned = shard.state();
         let v = pinned.version();
         assert_eq!(pinned.lower_bound(u64::MAX), 101);
         for k in 0..20u64 {
-            shard.try_insert_clocked(2_000 + k, &clock).unwrap(); // crosses the threshold — no rebuild yet
+            shard.try_insert_at(2_000 + k, 1).unwrap(); // crosses the threshold — no rebuild yet
         }
         shard.rebuild().unwrap();
         // The pinned state still answers from its own epoch.
@@ -860,11 +821,10 @@ mod tests {
 
     #[test]
     fn versions_increase_with_every_published_write() {
-        let clock = CommitClock::new();
         let shard = shard_over(vec![1u64, 2, 3], 1_000);
         let mut last = shard.state().version();
         for k in 0..10u64 {
-            shard.try_insert_clocked(k, &clock).unwrap();
+            shard.try_insert_at(k, 1).unwrap();
             let v = shard.state().version();
             assert!(v > last);
             last = v;
@@ -873,13 +833,12 @@ mod tests {
 
     #[test]
     fn inline_compaction_bounds_the_chain() {
-        let clock = CommitClock::new();
         let keys: Vec<u64> = (0..100u64).collect();
         let shard = shard_over(keys, 1_000_000);
         // Enough distinct inserts to fill `COMPACT_RUNS` full runs twice.
         let n = 2 * COMPACT_RUNS * MAX_RUN_LEN;
         for k in 0..n as u64 {
-            shard.try_insert_clocked(500 + k, &clock).unwrap();
+            shard.try_insert_at(500 + k, 1).unwrap();
         }
         let state = shard.state();
         assert!(
@@ -893,7 +852,6 @@ mod tests {
 
     #[test]
     fn cold_shard_reads_equal_hot_reads_and_rebuild_hydrates() {
-        let clock = CommitClock::new();
         let dir = std::env::temp_dir().join(format!("shift-store-cold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -918,9 +876,9 @@ mod tests {
 
         // Writes land in the chain of a cold shard exactly as a hot one.
         for shard in [&cold, &hot] {
-            shard.try_insert_clocked(10, &clock).unwrap();
-            shard.try_insert_clocked(9_001, &clock).unwrap();
-            assert!(shard.try_delete_clocked(6, &clock).unwrap().0);
+            shard.try_insert_at(10, 1).unwrap();
+            shard.try_insert_at(9_001, 1).unwrap();
+            assert!(shard.try_delete_at(6, 1).unwrap().0);
         }
         let probes: Vec<u64> = (0..400).map(|i| i * 23).collect();
         for &q in &probes {
@@ -953,16 +911,15 @@ mod tests {
 
     #[test]
     fn retired_shard_rejects_writes_but_still_serves_reads() {
-        let clock = CommitClock::new();
         let shard = shard_over(vec![1u64, 2, 3], 100);
-        shard.try_insert_clocked(10, &clock).unwrap();
+        shard.try_insert_at(10, 1).unwrap();
         {
             let _w = shard.lock_write();
             shard.retire();
         }
         assert!(shard.is_retired());
-        assert_eq!(shard.try_insert_clocked(11, &clock), None);
-        assert_eq!(shard.try_delete_clocked(1, &clock), None);
+        assert_eq!(shard.try_insert_at(11, 1), None);
+        assert_eq!(shard.try_delete_at(1, 1), None);
         assert_eq!(shard.lower_bound(u64::MAX), 4, "reads keep working");
         assert!(!shard.rebuild().unwrap(), "retired shards do not rebuild");
     }

@@ -22,7 +22,6 @@ use crate::error::StoreError;
 use crate::obs::{self, HydrationReason, StoreObs, TraceEvent, TraceKind};
 use crate::persist::manifest::{Manifest, ManifestShard};
 use crate::persist::recovery::OpenBreakdown;
-use crate::persist::wal::WalOp;
 use crate::persist::{self, recovery, snapshot, v2, DurabilityStats, Persistence};
 use crate::router::ShardRouter;
 use crate::shard::{build_index, ShardSnapshot, StoreShard, COMPACT_RUNS};
@@ -1437,63 +1436,42 @@ impl<K: Key> ShardedStore<K> {
         self.metrics_server.as_ref().map(|s| s.addr())
     }
 
-    /// Insert one occurrence of `k`. On a durable store the record is
-    /// appended to the write-ahead log (honouring the configured
-    /// [`crate::SyncPolicy`]) *before* it is applied in memory. With
-    /// `auto_rebuild` enabled, a write that pushes its shard over the delta
-    /// threshold rebuilds that shard before returning; with the background
-    /// worker enabled it is kicked instead and the write returns
-    /// immediately.
+    /// Insert one occurrence of `k`: a one-op [`WriteBatch`] that counts
+    /// as a write, not a batch, in the store's metrics. It takes one commit
+    /// version, and on a durable store it is appended to the write-ahead log
+    /// as a one-op record (honouring the configured [`crate::SyncPolicy`])
+    /// *before* it is applied in memory. With `auto_rebuild` enabled, a
+    /// write that pushes its shard over the delta threshold rebuilds that
+    /// shard before returning; with the background worker enabled it is
+    /// kicked instead and the write returns immediately.
     ///
     /// # Errors
     /// [`StoreError::Io`] if the WAL append fails (durable stores only);
     /// [`StoreError::Build`] from a shard rebuild (cannot happen for
     /// store-managed chains; see [`StoreShard::rebuild`]).
     pub fn insert(&self, k: K) -> Result<(), StoreError> {
-        // The sampled timer covers what the caller experiences: WAL append,
-        // in-memory apply, and any inline rebuild the write triggered.
-        let timer = self.core.obs.write_start();
-        let dirty = match &self.core.persist {
-            Some(p) => p.append(WalOp::Insert, k.to_u64(), |_version| self.apply_insert(k))?,
-            None => self.apply_insert(k),
-        };
-        self.core.obs.count(&self.core.obs.writes, 1);
-        self.core.retain_current();
-        if let Some(shard) = dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(())
+        self.write(&[BatchOp::Insert(k)], false).map(|_| ())
     }
 
-    /// Delete one occurrence of `k`. Returns true when an occurrence existed
-    /// (and a tombstone was recorded), false for a no-op. Durable stores log
-    /// the delete before applying it; a logged no-op replays as a no-op.
+    /// Delete one occurrence of `k`: a one-op [`WriteBatch`], as for
+    /// [`ShardedStore::insert`]. Returns true when an occurrence existed
+    /// (and a tombstone was recorded), false for a no-op. A no-op delete
+    /// still takes a commit version — [`ShardedStore::commit_version`]
+    /// advances — and on a durable store it is logged and replays as a
+    /// no-op.
     ///
     /// # Errors
     /// As for [`ShardedStore::insert`].
     pub fn delete(&self, k: K) -> Result<bool, StoreError> {
-        let timer = self.core.obs.write_start();
-        let (removed, dirty) = match &self.core.persist {
-            Some(p) => p.append(WalOp::Delete, k.to_u64(), |_version| self.apply_delete(k))?,
-            None => self.apply_delete(k),
-        };
-        // A no-op delete (no occurrence) still counts: it was applied (and,
-        // durable, logged).
-        self.core.obs.count(&self.core.obs.deletes, 1);
-        self.core.retain_current();
-        if let Some(shard) = dirty {
-            self.on_dirty(&shard)?;
-        }
-        self.core.obs.write_done(timer);
-        Ok(removed)
+        self.write(&[BatchOp::Delete(k)], false)
+            .map(|receipt| receipt.deleted > 0)
     }
 
     /// Apply the staged operations of `batch` **atomically**: one commit
     /// version is stamped on every operation, so a concurrent
     /// [`ShardedStore::snapshot`] observes all of the batch or none of it.
-    /// On a durable store the whole batch is appended as **one** multi-op
-    /// WAL record — synced once under [`crate::SyncPolicy::Always`] (where
+    /// On a durable store the whole batch is appended as **one** WAL
+    /// record — synced once under [`crate::SyncPolicy::Always`] (where
     /// concurrent batches additionally share `fdatasync`s through the WAL's
     /// group committer) — and recovery replays it all-or-nothing: a torn
     /// record drops the entire batch, never a prefix of it.
@@ -1509,33 +1487,23 @@ impl<K: Key> ShardedStore<K> {
         if batch.is_empty() {
             return Ok(BatchReceipt::default());
         }
+        self.write(batch.ops(), true)
+    }
+
+    /// The write path of [`ShardedStore::insert`], [`ShardedStore::delete`]
+    /// and [`ShardedStore::apply`]: log `ops` as one WAL record (durable
+    /// stores), apply them in memory under one commit version, then retain
+    /// the cut and maintain the shards they made dirty. `batch` picks the
+    /// metric a call counts under.
+    fn write(&self, ops: &[BatchOp<K>], batch: bool) -> Result<BatchReceipt, StoreError> {
+        // The sampled timer covers what the caller experiences: WAL append,
+        // in-memory apply, and any inline rebuild the write triggered.
         let timer = self.core.obs.write_start();
         let (receipt, dirty) = match &self.core.persist {
-            Some(p) => {
-                let ops: Vec<(WalOp, u64)> = batch
-                    .ops()
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Insert(k) => (WalOp::Insert, k.to_u64()),
-                        BatchOp::Delete(k) => (WalOp::Delete, k.to_u64()),
-                    })
-                    .collect();
-                p.append_batch(&ops, |_version| self.apply_batch_mem(batch))?
-            }
-            None => self.apply_batch_mem(batch),
+            Some(p) => p.append(ops, || Ok(()), || self.apply_batch_mem(ops))?,
+            None => self.apply_batch_mem(ops),
         };
-        if self.core.obs.enabled() {
-            let (ins, del) = batch
-                .ops()
-                .iter()
-                .fold((0u64, 0u64), |(i, d), op| match op {
-                    BatchOp::Insert(_) => (i + 1, d),
-                    BatchOp::Delete(_) => (i, d + 1),
-                });
-            self.core.obs.count(&self.core.obs.writes, ins);
-            self.core.obs.count(&self.core.obs.deletes, del);
-            self.core.obs.count(&self.core.obs.batches, 1);
-        }
+        self.count_writes(ops, batch);
         self.core.retain_current();
         for shard in dirty {
             self.on_dirty(&shard)?;
@@ -1544,13 +1512,29 @@ impl<K: Key> ShardedStore<K> {
         Ok(receipt)
     }
 
-    /// Apply a batch in memory inside one commit-clock window: every op is
-    /// stamped with the batch's single commit version, and no snapshot can
-    /// cut between two ops of the batch. Returns the receipt and the shards
-    /// the batch made dirty (deduplicated).
-    fn apply_batch_mem(&self, batch: &WriteBatch<K>) -> (BatchReceipt, Vec<Arc<StoreShard<K>>>) {
+    /// Count the staged inserts and deletes of one write call, plus the
+    /// call itself when it was a batch or transaction.
+    fn count_writes(&self, ops: &[BatchOp<K>], batch: bool) {
+        if self.core.obs.enabled() {
+            let (ins, del) = ops.iter().fold((0u64, 0u64), |(i, d), op| match op {
+                BatchOp::Insert(_) => (i + 1, d),
+                BatchOp::Delete(_) => (i, d + 1),
+            });
+            self.core.obs.count(&self.core.obs.writes, ins);
+            self.core.obs.count(&self.core.obs.deletes, del);
+            if batch {
+                self.core.obs.count(&self.core.obs.batches, 1);
+            }
+        }
+    }
+
+    /// Apply `ops` in memory inside one commit-clock window: every op is
+    /// stamped with the call's single commit version, and no snapshot can
+    /// cut between two ops of a batch. Returns the receipt and the shards
+    /// the ops made dirty (deduplicated).
+    fn apply_batch_mem(&self, ops: &[BatchOp<K>]) -> (BatchReceipt, Vec<Arc<StoreShard<K>>>) {
         let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        self.apply_batch_under_gate(batch)
+        self.apply_batch_under_gate(ops)
     }
 
     /// [`ShardedStore::apply_batch_mem`] for a caller already holding the
@@ -1558,7 +1542,7 @@ impl<K: Key> ShardedStore<K> {
     /// in-memory transaction commit applies under the gate's *write* side).
     fn apply_batch_under_gate(
         &self,
-        batch: &WriteBatch<K>,
+        ops: &[BatchOp<K>],
     ) -> (BatchReceipt, Vec<Arc<StoreShard<K>>>) {
         let cv = self.core.clock.begin();
         let mut receipt = BatchReceipt {
@@ -1572,9 +1556,10 @@ impl<K: Key> ShardedStore<K> {
                 dirty.push(Arc::clone(shard));
             }
         };
-        for op in batch.ops() {
+        for op in ops {
             // Route against the freshest table, re-routing around shards a
-            // concurrent split/merge retires (as the single-op paths do).
+            // concurrent split/merge retires (a retired shard refuses the
+            // write; the successor table is already published).
             loop {
                 let table = self.core.load_table();
                 match *op {
@@ -1644,16 +1629,8 @@ impl<K: Key> ShardedStore<K> {
         };
         let result = match &self.core.persist {
             Some(p) => {
-                let ops: Vec<(WalOp, u64)> = writes
-                    .ops()
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Insert(k) => (WalOp::Insert, k.to_u64()),
-                        BatchOp::Delete(k) => (WalOp::Delete, k.to_u64()),
-                    })
-                    .collect();
-                p.append_batch_validated(&ops, validate, |_version| {
-                    let out = self.apply_batch_mem(&writes);
+                p.append(writes.ops(), validate, || {
+                    let out = self.apply_batch_mem(writes.ops());
                     // Still under the WAL frame lock: retain this commit's
                     // cut deterministically (the pin cannot race a writer).
                     if self.core.versions.enabled() {
@@ -1669,7 +1646,7 @@ impl<K: Key> ShardedStore<K> {
                 // one atomic step against every other writer.
                 let _gate = self.core.write_gate.write().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
                 validate().map(|()| {
-                    let out = self.apply_batch_under_gate(&writes);
+                    let out = self.apply_batch_under_gate(writes.ops());
                     if self.core.versions.enabled() {
                         let cut = self.core.pin_cut_quiescent();
                         self.core.retain_cut(cut);
@@ -1690,51 +1667,13 @@ impl<K: Key> ShardedStore<K> {
                 return Err(e);
             }
         };
-        if self.core.obs.enabled() {
-            let (ins, del) = writes
-                .ops()
-                .iter()
-                .fold((0u64, 0u64), |(i, d), op| match op {
-                    BatchOp::Insert(_) => (i + 1, d),
-                    BatchOp::Delete(_) => (i, d + 1),
-                });
-            self.core.obs.count(&self.core.obs.writes, ins);
-            self.core.obs.count(&self.core.obs.deletes, del);
-            self.core.obs.count(&self.core.obs.batches, 1);
-        }
+        self.count_writes(writes.ops(), true);
         self.core.obs.count(&self.core.obs.txn_commits, 1);
         for shard in dirty {
             self.on_dirty(&shard)?;
         }
         self.core.obs.write_done(timer);
         Ok(receipt)
-    }
-
-    /// Apply an insert in memory, re-routing around retired shards (one
-    /// replaced by a concurrent split/merge refuses the write; reload the
-    /// freshly published table and retry). Returns the shard to maintain
-    /// when the write made it dirty.
-    fn apply_insert(&self, k: K) -> Option<Arc<StoreShard<K>>> {
-        let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        loop {
-            let table = self.core.load_table();
-            let shard = &table.shards[table.router.shard_of(k)];
-            if let Some(dirty) = shard.try_insert_clocked(k, &self.core.clock) {
-                return dirty.then(|| Arc::clone(shard));
-            }
-        }
-    }
-
-    /// Apply a delete in memory (see [`ShardedStore::apply_insert`]).
-    fn apply_delete(&self, k: K) -> (bool, Option<Arc<StoreShard<K>>>) {
-        let _gate = self.core.write_gate.read().expect("write gate poisoned"); // lint: allow(panic) lock poisoning propagates a holder's panic; no sound continuation
-        loop {
-            let table = self.core.load_table();
-            let shard = &table.shards[table.router.shard_of(k)];
-            if let Some((removed, dirty)) = shard.try_delete_clocked(k, &self.core.clock) {
-                return (removed, dirty.then(|| Arc::clone(shard)));
-            }
-        }
     }
 
     /// React to a shard crossing its delta threshold.
